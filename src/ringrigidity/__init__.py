@@ -50,13 +50,11 @@ from .matrices import (
 )
 from .scaled import (
     ScaledMult,
-    alternate,
     check_scaled_unitality,
     extract_scale,
     find_pm1_violation,
     find_unit_windowed,
     has_pm1_unit_property,
-    make_scaled,
     scale_ring,
     scaled_unit_sweep,
     unit_of_scaled,

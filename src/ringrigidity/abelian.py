@@ -37,10 +37,6 @@ def checked(value: int, context: str = "") -> int:
     return value
 
 
-def checked_mul(x: int, y: int, context: str = "") -> int:
-    return checked(x * y, context)
-
-
 def checked_add(x: int, y: int, context: str = "") -> int:
     return checked(x + y, context)
 
@@ -177,13 +173,12 @@ def element_order(g: GroupElement) -> int:
     )
 
 
-def all_elements(
-    spec: GroupSpec, cap: int = DEFAULT_ELEMENT_CAP
-) -> Iterator[GroupElement]:
+def all_elements(spec: GroupSpec) -> Iterator[GroupElement]:
     """Every element exactly once, in lexicographic coordinate order."""
-    if spec.order > cap:
+    if spec.order > DEFAULT_ELEMENT_CAP:
         raise CapacityError(
-            f"group order {spec.order} exceeds the enumeration cap {cap}"
+            f"group order {spec.order} exceeds the enumeration cap "
+            f"{DEFAULT_ELEMENT_CAP}"
         )
     for coords in itertools.product(*(range(n) for n in spec.moduli)):
         yield GroupElement(spec, coords)

@@ -7,7 +7,9 @@ timing suppression) are not part of the result identity and are not
 echoed, so runs that differ only in those knobs produce identical JSON.
 
 Exit codes: 0 ok, 2 usage or validation, 3 capacity, 4 arithmetic
-overflow. All numbers in the payload are exact integers.
+overflow, 5 failed internal invariant (a bug, never user error). Every
+failure prints the same envelope with status "error" and the reason in
+payload.message. All numbers in the payload are exact integers.
 """
 
 from __future__ import annotations
@@ -21,14 +23,19 @@ import time
 from .abelian import GroupSpec, IntegerWindow
 from .enumeration import (
     DEFAULT_BUDGET,
+    FULL_TABLE_CAP,
     SearchConfig,
     classify_cyclic,
-    enumerate_multiplications,
-    expand_to_full_table,
     full_table_oracle,
     rigidity_report,
+    scaled_full_table,
 )
-from .errors import CapacityError, IntegerOverflowError, UsageError
+from .errors import (
+    CapacityError,
+    IntegerOverflowError,
+    InvariantViolation,
+    UsageError,
+)
 from .matrices import (
     HADAMARD,
     STANDARD,
@@ -38,10 +45,10 @@ from .matrices import (
     unit_matrix,
 )
 from .scaled import (
+    ScaledMult,
     check_scaled_unitality,
     find_pm1_violation,
     find_unit_windowed,
-    make_scaled,
     scaled_identity_suite,
     scaled_unit_sweep,
     unit_of_scaled,
@@ -54,6 +61,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_OVERFLOW = 4
+EXIT_INVARIANT = 5
 
 
 def _resolve_budget(flag_value: int | None) -> int:
@@ -96,10 +104,7 @@ def _run_enumerate(args) -> tuple[dict, dict]:
         "search_space": report.search_space,
         "unital_examples": [
             {
-                "table": [
-                    [list(entry.coords) for entry in row]
-                    for row in ring.mult.table
-                ],
+                "table": ring.mult.coords_table(),
                 "unit": list(ring.unit.coords),
             }
             for ring in report.unital_examples
@@ -125,13 +130,12 @@ def _run_classify(args) -> tuple[dict, dict]:
         ],
         "unital_scales": [e.scale for e in entries if e.unital],
     }
-    if modulus <= config.full_table_cap:
-        oracle = full_table_oracle(modulus, config.full_table_cap)
-        expanded = frozenset(
-            expand_to_full_table(ring.mult)
-            for ring in enumerate_multiplications(GroupSpec((modulus,)), config)
-        )
-        payload["oracle"] = "agree" if oracle == expanded else "disagree"
+    if modulus <= FULL_TABLE_CAP:
+        # classify_cyclic has matched each ring's expansion against exactly
+        # these closed-form tables, so the raw oracle still meets the census
+        classified = frozenset(scaled_full_table(modulus, e.scale) for e in entries)
+        oracle = full_table_oracle(modulus)
+        payload["oracle"] = "agree" if oracle == classified else "disagree"
     return {"modulus": modulus}, payload
 
 
@@ -139,7 +143,7 @@ def _run_verify_scaled(args) -> tuple[dict, dict]:
     a = args.a
     window = IntegerWindow(args.bound)
     suite = scaled_identity_suite(a, args.bound, samples=args.samples)
-    scanned = find_unit_windowed(make_scaled(a), window)
+    scanned = find_unit_windowed(ScaledMult(a), window)
     closed = unit_of_scaled(a)
     note = {1: "usual ring", -1: "alternate ring"}.get(a)
     payload = {
@@ -315,6 +319,9 @@ def run(argv=None, stdout=None) -> int:
     except IntegerOverflowError as exc:
         params, payload = {}, {"message": str(exc)}
         status, code = "error", EXIT_OVERFLOW
+    except InvariantViolation as exc:
+        params, payload = {}, {"message": str(exc)}
+        status, code = "error", EXIT_INVARIANT
     elapsed_ms = 0 if args.no_timing else int((time.perf_counter() - start) * 1000)
     result = {
         "command": args.command,

@@ -9,7 +9,7 @@ the search resumable by prefix.
 
 The search space is partitioned across workers by fixing the value of the
 first constant; each partition is independent and results merge back in
-deterministic order.
+the serial emission order.
 
 ``full_table_oracle`` is the independent cross-check: it enumerates raw
 N x N Cayley tables with no structure-constant machinery at all and keeps
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, Optional
@@ -35,20 +34,19 @@ from .structures import (
 )
 
 DEFAULT_BUDGET = 10**8
+GROUP_ORDER_CAP = 10_000
+FULL_TABLE_CAP = 3
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the enumeration engine; all caps are positive."""
+    """Execution settings of the census; both are positive."""
 
-    group_order_cap: int = 10_000
-    full_table_cap: int = 3
     workers: int = 1
-    deterministic: bool = True
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        for name in ("group_order_cap", "full_table_cap", "workers", "budget"):
+        for name in ("workers", "budget"):
             if getattr(self, name) < 1:
                 raise UsageError(f"search config {name} must be positive")
 
@@ -100,10 +98,9 @@ def enumerate_multiplications(
     candidate count (before the associativity filter) is charged against
     the budget up front.
     """
-    if spec.order > config.group_order_cap:
+    if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
-            f"group order {spec.order} exceeds the search cap "
-            f"{config.group_order_cap}"
+            f"group order {spec.order} exceeds the search cap {GROUP_ORDER_CAP}"
         )
     sets = _candidate_sets(spec)
     size = math.prod(len(s) for s in sets)
@@ -117,12 +114,8 @@ def enumerate_multiplications(
         return
     tasks = [(spec.moduli, first.coords) for first in sets[0]]
     with Pool(min(config.workers, len(tasks))) as pool:
-        if config.deterministic:
-            for batch in pool.map(_partition_task, tasks):
-                yield from batch
-        else:
-            for batch in pool.imap_unordered(_partition_task, tasks):
-                yield from batch
+        for batch in pool.map(_partition_task, tasks):
+            yield from batch
 
 
 @dataclass(frozen=True)
@@ -137,27 +130,19 @@ class RigidityReport:
     scaled_form_all: Optional[bool]  # single-factor groups only
     unital_examples: tuple[RingStructure, ...]
     search_space: int
-    elapsed_ms: int
 
 
 def _matches_scaled_form(constants: StructureConstants) -> bool:
-    """Exhaustive check that a cyclic multiplication is scale*n*m for its own scale."""
-    spec = constants.group
-    modulus = spec.moduli[0]
+    """Whether a cyclic multiplication is scale*n*m for its own scale mul(1, 1)."""
+    modulus = constants.group.moduli[0]
     scale = constants.table[0][0].coords[0]
-    for n in range(modulus):
-        gn = spec.element(n)
-        for m in range(modulus):
-            if constants.eval(gn, spec.element(m)).coords[0] != (scale * n * m) % modulus:
-                return False
-    return True
+    return expand_to_full_table(constants) == scaled_full_table(modulus, scale)
 
 
 def rigidity_report(
     spec: GroupSpec, config: SearchConfig = SearchConfig()
 ) -> RigidityReport:
     """Aggregate the enumeration stream into the census counts."""
-    start = time.perf_counter()
     total = 0
     commutative = 0
     unital = 0
@@ -178,7 +163,6 @@ def rigidity_report(
                 examples.append(ring)
         if spec.is_cyclic and not _matches_scaled_form(ring.mult):
             scaled_form_all = False
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
     return RigidityReport(
         group=spec,
         total=total,
@@ -188,7 +172,6 @@ def rigidity_report(
         scaled_form_all=scaled_form_all,
         unital_examples=tuple(examples),
         search_space=search_space_size(spec),
-        elapsed_ms=elapsed_ms,
     )
 
 
@@ -212,11 +195,8 @@ def classify_cyclic(
     spec = GroupSpec((modulus,))
     out = []
     for ring in enumerate_multiplications(spec, config):
-        one = spec.element(1)
-        scale = ring.mult.eval(one, one).coords[0]
-        if scale != ring.mult.table[0][0].coords[0] or not _matches_scaled_form(
-            ring.mult
-        ):
+        scale = ring.mult.table[0][0].coords[0]
+        if not _matches_scaled_form(ring.mult):
             raise InvariantViolation(
                 f"multiplication on Z/{modulus} is not the scaled form of its "
                 f"own mul(1,1) = {scale}"
@@ -259,7 +239,7 @@ def _table_associative(table: FullTable, modulus: int) -> bool:
     )
 
 
-def full_table_oracle(modulus: int, cap: int = 3) -> frozenset[FullTable]:
+def full_table_oracle(modulus: int) -> frozenset[FullTable]:
     """All N^(N^2) Cayley tables on {0..N-1}, filtered to ring multiplications.
 
     Deliberately ignorant of the structure-constant pipeline: tables are
@@ -267,10 +247,10 @@ def full_table_oracle(modulus: int, cap: int = 3) -> frozenset[FullTable]:
     all triples. The survivor set is the ground truth the enumeration is
     compared against.
     """
-    if modulus > cap:
+    if modulus > FULL_TABLE_CAP:
         raise CapacityError(
-            f"full-table oracle capped at carrier size {cap}, got {modulus} "
-            f"({modulus}^{modulus * modulus} tables)"
+            f"full-table oracle capped at carrier size {FULL_TABLE_CAP}, got "
+            f"{modulus} ({modulus}^{modulus * modulus} tables)"
         )
     survivors = []
     for flat in itertools.product(range(modulus), repeat=modulus * modulus):
@@ -285,11 +265,15 @@ def full_table_oracle(modulus: int, cap: int = 3) -> frozenset[FullTable]:
 def expand_to_full_table(constants: StructureConstants) -> FullTable:
     """Expand a cyclic structure-constant table to its full Cayley table."""
     spec = constants.group
-    modulus = spec.moduli[0]
+    elements = [spec.element(n) for n in range(spec.moduli[0])]
     return tuple(
-        tuple(
-            constants.eval(spec.element(n), spec.element(m)).coords[0]
-            for m in range(modulus)
-        )
+        tuple(constants.eval(g, h).coords[0] for h in elements) for g in elements
+    )
+
+
+def scaled_full_table(modulus: int, scale: int) -> FullTable:
+    """The closed-form Cayley table of n*m = scale*n*m on Z/modulus."""
+    return tuple(
+        tuple(scale * n * m % modulus for m in range(modulus))
         for n in range(modulus)
     )

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto its exit-code contract: usage errors exit 2,
-capacity errors exit 3, overflow errors exit 4.
+capacity errors exit 3, overflow errors exit 4, invariant violations
+exit 5.
 """
 
 
@@ -10,7 +11,7 @@ class UsageError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A configured cap or search budget would be exceeded."""
+    """A fixed cap or the search budget would be exceeded."""
 
 
 class IntegerOverflowError(ArithmeticError):

@@ -68,10 +68,6 @@ def mat_add(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     )
 
 
-def mat_neg(a: MatrixElement) -> MatrixElement:
-    return MatrixElement(a.modulus, tuple(tuple(-x for x in row) for row in a.rows))
-
-
 def mat_mul_standard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     """Row-by-column product modulo the base modulus."""
     _check_compatible(a, b, "mat_mul_standard")

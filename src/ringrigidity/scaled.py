@@ -59,16 +59,6 @@ class ScaledMult:
         return value
 
 
-def make_scaled(a: int) -> ScaledMult:
-    """The multiplication (n, m) -> a*n*m."""
-    return ScaledMult(a)
-
-
-def alternate() -> ScaledMult:
-    """The negated product (n, m) -> -(n*m); its unit is -1."""
-    return ScaledMult(-1)
-
-
 def unit_of_scaled(a: int) -> Optional[int]:
     """Closed-form unit of the scaled multiplication: a itself for a = +-1.
 

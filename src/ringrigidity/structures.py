@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .abelian import (
-    DEFAULT_ELEMENT_CAP,
     GroupElement,
     GroupSpec,
     IntegerWindow,
@@ -128,9 +127,7 @@ def check_commutativity(constants: StructureConstants) -> bool:
     )
 
 
-def find_unit(
-    constants: StructureConstants, cap: int = DEFAULT_ELEMENT_CAP
-) -> Optional[GroupElement]:
+def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     """The unique two-sided identity, or None.
 
     Scans all elements, testing each candidate against the generators
@@ -138,12 +135,12 @@ def find_unit(
     against every element before being returned.
     """
     gens = constants.group.generators()
-    for u in all_elements(constants.group, cap):
+    for u in all_elements(constants.group):
         if all(
             constants.eval(u, e) == e and constants.eval(e, u) == e
             for e in gens
         ):
-            for g in all_elements(constants.group, cap):
+            for g in all_elements(constants.group):
                 if constants.eval(u, g) != g or constants.eval(g, u) != g:
                     break
             else:
@@ -162,15 +159,13 @@ class RingStructure:
     unit: Optional[GroupElement]
 
     @classmethod
-    def from_constants(
-        cls, constants: StructureConstants, cap: int = DEFAULT_ELEMENT_CAP
-    ) -> RingStructure:
+    def from_constants(cls, constants: StructureConstants) -> RingStructure:
         return cls(
             group=constants.group,
             mult=constants,
             associative=check_associativity(constants),
             commutative=check_commutativity(constants),
-            unit=find_unit(constants, cap),
+            unit=find_unit(constants),
         )
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 from ringrigidity import GroupElement, GroupSpec, StructureConstants, all_elements
 
 
@@ -73,3 +75,25 @@ def full_mult_table(constants: StructureConstants) -> dict:
     """Precomputed products over all element pairs, for fast exhaustive scans."""
     elements = list(all_elements(constants.group))
     return {(g, h): constants.eval(g, h) for g in elements for h in elements}
+
+
+@pytest.fixture
+def shifted_product(monkeypatch):
+    """Break the scaled form on Z/6 at scale 1: the product 2*3 reads 1, not 0.
+
+    The associativity and unit checks never evaluate that pair, so the ring
+    still reaches the scaled-form check, which must catch it.
+    """
+    original = StructureConstants.eval
+
+    def shifted(self, g, h):
+        product = original(self, g, h)
+        if (
+            self.group.moduli == (6,)
+            and self.table[0][0].coords == (1,)
+            and (g.coords, h.coords) == ((2,), (3,))
+        ):
+            return product + self.group.element(1)
+        return product
+
+    monkeypatch.setattr(StructureConstants, "eval", shifted)

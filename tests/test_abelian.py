@@ -176,11 +176,6 @@ class TestAllElements:
         seen = set(all_elements(spec))
         assert len(seen) == spec.order
 
-    def test_cap_enforced(self):
-        spec = GroupSpec((101, 101))  # order 10201
-        with pytest.raises(CapacityError):
-            list(all_elements(spec, cap=10_000))
-
     def test_default_cap_boundary(self):
         spec = GroupSpec((10**6 + 1,))
         with pytest.raises(CapacityError):

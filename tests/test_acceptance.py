@@ -22,7 +22,7 @@ from ringrigidity import (
     find_unit_windowed,
     full_table_oracle,
     IntegerWindow,
-    make_scaled,
+    ScaledMult,
     mat_add,
     mat_mul_hadamard,
     mat_mul_standard,
@@ -81,7 +81,7 @@ def test_criterion_2_unit_scan_equivalence():
     def body():
         window = IntegerWindow(1000)
         for a in range(-100, 101):
-            found = find_unit_windowed(make_scaled(a), window)
+            found = find_unit_windowed(ScaledMult(a), window)
             if a in (1, -1):
                 assert found == a, f"scale {a}: scan found {found}"
             else:

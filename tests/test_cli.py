@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import ringrigidity
 from ringrigidity.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -137,6 +138,13 @@ class TestExitCodes:
         assert code == 4
         assert "overflow" in doc["payload"]["message"].lower()
 
+    def test_invariant_violation_is_five(self, shifted_product):
+        code, doc = run_json("classify", "--modulus", "6")
+        assert code == 5
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["status"] == "error"
+        assert "not the scaled form" in doc["payload"]["message"]
+
     def test_status_ok_iff_exit_zero(self):
         for args, expected in [
             (("classify", "--modulus", "5"), 0),
@@ -260,12 +268,16 @@ class TestTextMode:
 
 class TestEntryPoint:
     def test_python_dash_m(self):
+        # the child must import the package this suite imported, also when
+        # only pytest's own pythonpath setting put it on sys.path
+        src = str(Path(ringrigidity.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ringrigidity", "classify", "--modulus", "2",
              "--no-timing"],
             capture_output=True,
             text=True,
-            env={**os.environ},
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)

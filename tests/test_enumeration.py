@@ -5,6 +5,7 @@ import pytest
 from ringrigidity import (
     CapacityError,
     GroupSpec,
+    InvariantViolation,
     SearchConfig,
     classify_cyclic,
     enumerate_multiplications,
@@ -68,6 +69,15 @@ class TestClassifyCyclic:
         assert [e.is_minus_one for e in entries] == [
             False, False, False, False, True,
         ]
+
+
+class TestScaledFormViolation:
+    def test_classify_raises(self, shifted_product):
+        with pytest.raises(InvariantViolation, match=r"mul\(1,1\) = 1"):
+            classify_cyclic(6)
+
+    def test_report_flags_it(self, shifted_product):
+        assert rigidity_report(GroupSpec((6,))).scaled_form_all is False
 
 
 class TestUnitalityCensus:
@@ -181,14 +191,6 @@ class TestDeterminismAndParallelism:
         parallel = coords_tables(spec, SearchConfig(workers=3))
         assert serial == parallel
 
-    def test_unordered_merge_same_set(self):
-        spec = GroupSpec((2, 2))
-        ordered = coords_tables(spec, SearchConfig(workers=2))
-        unordered = coords_tables(
-            spec, SearchConfig(workers=2, deterministic=False)
-        )
-        assert sorted(ordered) == sorted(unordered)
-
     def test_lexicographic_emission_order(self):
         tables = coords_tables(GroupSpec((5,)))
         assert tables == sorted(tables)
@@ -207,11 +209,7 @@ class TestCapsAndBudget:
 
     def test_group_order_cap(self):
         with pytest.raises(CapacityError):
-            list(
-                enumerate_multiplications(
-                    GroupSpec((101,)), SearchConfig(group_order_cap=100)
-                )
-            )
+            next(enumerate_multiplications(GroupSpec((10_001,))))
 
     def test_nonpositive_config_rejected(self):
         from ringrigidity import UsageError
