@@ -3,13 +3,14 @@
 Candidates are structure-constant tables: entry (i, j) ranges over the
 elements whose order divides gcd(n_i, n_j), which is exactly the
 well-definedness constraint, so distributivity holds by construction and
-only associativity filters the stream. Candidates are visited in
-lexicographic order of the flattened table, making runs reproducible and
-the search resumable by prefix.
+only associativity filters the stream. A candidate is a row-major table of
+plain coordinate tuples; only tables that pass ``associative_table`` become
+objects. Candidates are visited in lexicographic order of the flattened
+table, making runs reproducible and the search resumable by prefix.
 
-The search space is partitioned across workers by fixing the value of the
-first constant; each partition is independent and results merge back in
-the serial emission order.
+The search space is partitioned by the value of the first constant. A
+serial run loops ``_survivors`` over the parts and a pool maps it over the
+same parts, so both emit in the same order.
 
 ``full_table_oracle`` is the independent cross-check: it enumerates raw
 N x N Cayley tables with no structure-constant machinery at all and keeps
@@ -24,14 +25,9 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
-from .abelian import GroupElement, GroupSpec, all_elements, element_order
+from .abelian import GroupSpec, all_elements, element_order
 from .errors import CapacityError, InvariantViolation, UsageError
-from .structures import (
-    RingStructure,
-    StructureConstants,
-    check_associativity,
-    find_unit,
-)
+from .structures import RingStructure, StructureConstants, associative_table
 
 DEFAULT_BUDGET = 10**8
 GROUP_ORDER_CAP = 10_000
@@ -51,15 +47,15 @@ class SearchConfig:
                 raise UsageError(f"search config {name} must be positive")
 
 
-def _candidate_sets(spec: GroupSpec) -> list[list[GroupElement]]:
-    """Per table cell (row-major), the elements allowed by well-definedness."""
+def _candidate_sets(spec: GroupSpec) -> list[list[tuple[int, ...]]]:
+    """Per table cell (row-major), the coordinates allowed by well-definedness."""
     elements = list(all_elements(spec))
     k = spec.rank
-    sets: list[list[GroupElement]] = []
+    sets: list[list[tuple[int, ...]]] = []
     for i in range(k):
         for j in range(k):
             d = math.gcd(spec.moduli[i], spec.moduli[j])
-            sets.append([g for g in elements if d % element_order(g) == 0])
+            sets.append([g.coords for g in elements if d % element_order(g) == 0])
     return sets
 
 
@@ -67,26 +63,19 @@ def search_space_size(spec: GroupSpec) -> int:
     return math.prod(len(s) for s in _candidate_sets(spec))
 
 
-def _survivors(
-    spec: GroupSpec, flats: Iterator[tuple[GroupElement, ...]]
-) -> list[RingStructure]:
+def _survivors(task: tuple) -> list[RingStructure]:
+    """Rings of one part; task = (moduli, first cell, the other cells' sets)."""
+    moduli, first, rest = task
+    spec = GroupSpec(moduli)
     k = spec.rank
     found = []
-    for flat in flats:
+    for tail in itertools.product(*rest):
+        flat = (first,) + tail
         table = tuple(flat[i * k : (i + 1) * k] for i in range(k))
-        constants = StructureConstants(spec, table)
-        if check_associativity(constants):
+        if associative_table(moduli, table):
+            constants = StructureConstants.from_coords(spec, table)
             found.append(RingStructure.from_constants(constants))
     return found
-
-
-def _partition_task(args: tuple[tuple[int, ...], tuple[int, ...]]) -> list[RingStructure]:
-    moduli, first_coords = args
-    spec = GroupSpec(moduli)
-    sets = _candidate_sets(spec)
-    first = GroupElement(spec, first_coords)
-    flats = ((first,) + rest for rest in itertools.product(*sets[1:]))
-    return _survivors(spec, flats)
 
 
 def enumerate_multiplications(
@@ -109,12 +98,13 @@ def enumerate_multiplications(
             f"search space has {size} candidate tables, over the budget "
             f"of {config.budget}"
         )
+    tasks = [(spec.moduli, first, sets[1:]) for first in sets[0]]
     if config.workers <= 1:
-        yield from _survivors(spec, itertools.product(*sets))
+        for task in tasks:
+            yield from _survivors(task)
         return
-    tasks = [(spec.moduli, first.coords) for first in sets[0]]
     with Pool(min(config.workers, len(tasks))) as pool:
-        for batch in pool.map(_partition_task, tasks):
+        for batch in pool.map(_survivors, tasks):
             yield from batch
 
 

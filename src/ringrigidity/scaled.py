@@ -131,6 +131,8 @@ def scaled_identity_suite(
     a: int, bound: int, samples: int = 10_000, seed: int = 0
 ) -> IdentitySuiteReport:
     """Run the ring-identity checks for one scale on random window triples."""
+    if samples < 0:
+        raise UsageError(f"samples must be >= 0, got {samples}")
     rng = random.Random(seed)
     for _ in range(samples):
         n = rng.randint(-bound, bound)

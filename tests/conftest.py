@@ -7,6 +7,7 @@ instead of generator checks. Tests compare the fast path against these.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -59,6 +60,30 @@ def allowed_entries(spec: GroupSpec, i: int, j: int) -> list[GroupElement]:
     """Elements usable at table cell (i, j): order divides gcd(n_i, n_j)."""
     d = math.gcd(spec.moduli[i], spec.moduli[j])
     return [g for g in all_elements(spec) if iterated_add(g, d).is_zero()]
+
+
+def object_path_census(spec: GroupSpec) -> list:
+    """Associative tables in row-major order, decided on full product tables.
+
+    Walks every well-defined table over ``allowed_entries`` and keeps those
+    whose |G|^2 products, built with ``naive_eval``, are associative on all
+    |G|^3 triples. Returns coordinate tables, the census's emission format.
+    """
+    k = spec.rank
+    elements = list(all_elements(spec))
+    cells = [allowed_entries(spec, i, j) for i in range(k) for j in range(k)]
+    found = []
+    for flat in itertools.product(*cells):
+        table = [flat[i * k : (i + 1) * k] for i in range(k)]
+        mult = {(g, h): naive_eval(table, g, h) for g in elements for h in elements}
+        if all(
+            mult[(mult[(a, b)], c)] == mult[(a, mult[(b, c)])]
+            for a in elements
+            for b in elements
+            for c in elements
+        ):
+            found.append(tuple(tuple(e.coords for e in row) for row in table))
+    return found
 
 
 def random_constants(spec: GroupSpec, rng: random.Random) -> StructureConstants:

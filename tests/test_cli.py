@@ -138,6 +138,23 @@ class TestExitCodes:
         assert code == 4
         assert "overflow" in doc["payload"]["message"].lower()
 
+    def test_negative_samples_is_two(self):
+        code, doc = run_json(
+            "verify-scaled", "--a", "1", "--bound", "10", "--samples", "-5"
+        )
+        assert code == 2
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["status"] == "error"
+        assert "samples must be >= 0" in doc["payload"]["message"]
+
+    def test_zero_samples_accepted(self):
+        code, doc = run_json(
+            "verify-scaled", "--a", "1", "--bound", "10", "--samples", "0"
+        )
+        assert code == 0
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["payload"]["samples"] == 0
+
     def test_invariant_violation_is_five(self, shifted_product):
         code, doc = run_json("classify", "--modulus", "6")
         assert code == 5

@@ -7,6 +7,7 @@ from ringrigidity import (
     GroupSpec,
     InvariantViolation,
     SearchConfig,
+    StructureConstants,
     classify_cyclic,
     enumerate_multiplications,
     expand_to_full_table,
@@ -14,6 +15,8 @@ from ringrigidity import (
     rigidity_report,
     search_space_size,
 )
+
+from conftest import factor_sequences, object_path_census
 
 
 def coords_tables(spec, config=SearchConfig()):
@@ -144,6 +147,31 @@ class TestOracleEquivalence:
             full_table_oracle(4)
 
 
+class TestObjectPathOracle:
+    @pytest.mark.parametrize(
+        "moduli",
+        [m for m in factor_sequences(8) if len(m) <= 2],
+        ids=lambda m: ",".join(map(str, m)),
+    )
+    def test_ordered_stream_matches(self, moduli):
+        spec = GroupSpec(moduli)
+        assert coords_tables(spec) == object_path_census(spec)
+
+    def test_constants_built_once_per_ring(self, monkeypatch):
+        # rejected candidates never become objects: one validation per ring
+        calls = [0]
+        original = StructureConstants.__post_init__
+
+        def counted(self):
+            calls[0] += 1
+            original(self)
+
+        monkeypatch.setattr(StructureConstants, "__post_init__", counted)
+        report = rigidity_report(GroupSpec((3, 3)))
+        assert report.total == 121
+        assert calls[0] == report.total
+
+
 class TestProductGroups:
     def test_coprime_factors_force_zero_cross_constants(self):
         spec = GroupSpec((2, 3))
@@ -164,6 +192,23 @@ class TestProductGroups:
         assert report.unital_scales is None
         assert report.scaled_form_all is None
 
+    @pytest.mark.parametrize(
+        "group,counts",
+        [
+            ("2,4", (60, 44, 16)),
+            ("2,6", (84, 66, 24)),
+            ("3,3", (121, 105, 72)),
+            ("3,9", (405, 315, 162)),
+            ("4,4", (616, 400, 192)),
+        ],
+    )
+    def test_known_census(self, group, counts):
+        # (total, commutative, unital)
+        report = rigidity_report(GroupSpec.parse(group))
+        assert (
+            report.total, report.commutative_count, report.unital_count
+        ) == counts
+
     def test_klein_non_rigidity_witness(self):
         # at least two unital structures with different tables share the
         # same addition
@@ -179,8 +224,9 @@ class TestDeterminismAndParallelism:
         spec = GroupSpec((2, 2))
         assert coords_tables(spec) == coords_tables(spec)
 
-    def test_worker_counts_agree(self):
-        spec = GroupSpec((2, 2))
+    @pytest.mark.parametrize("group", ["2,2", "2,4", "3,3"])
+    def test_worker_counts_agree(self, group):
+        spec = GroupSpec.parse(group)
         serial = coords_tables(spec, SearchConfig(workers=1))
         parallel = coords_tables(spec, SearchConfig(workers=4))
         assert serial == parallel

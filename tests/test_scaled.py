@@ -127,6 +127,11 @@ class TestScaledIdentities:
         with pytest.raises(IntegerOverflowError, match="a="):
             scaled_identity_suite(10**12, 10**6, samples=100)
 
+    def test_suite_runner_rejects_negative_samples(self):
+        with pytest.raises(UsageError, match="samples"):
+            scaled_identity_suite(1, 10, samples=-1)
+        assert scaled_identity_suite(1, 10, samples=0).ok
+
 
 class TestVerifyScaledForm:
     def test_usual_multiplication(self):
