@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -116,7 +117,7 @@ class GroupElement:
                 f"group {self.group} has {len(moduli)} factors"
             )
         object.__setattr__(
-            self, "coords", tuple(c % n for c, n in zip(self.coords, moduli))
+            self, "coords", tuple(map(operator.mod, self.coords, moduli))
         )
 
     def __add__(self, other: GroupElement) -> GroupElement:
@@ -173,14 +174,19 @@ def element_order(g: GroupElement) -> int:
     )
 
 
-def all_elements(spec: GroupSpec) -> Iterator[GroupElement]:
-    """Every element exactly once, in lexicographic coordinate order."""
+def all_coords(spec: GroupSpec) -> Iterator[tuple[int, ...]]:
+    """Every reduced coordinate vector exactly once, in lexicographic order."""
     if spec.order > DEFAULT_ELEMENT_CAP:
         raise CapacityError(
             f"group order {spec.order} exceeds the enumeration cap "
             f"{DEFAULT_ELEMENT_CAP}"
         )
-    for coords in itertools.product(*(range(n) for n in spec.moduli)):
+    return itertools.product(*(range(n) for n in spec.moduli))
+
+
+def all_elements(spec: GroupSpec) -> Iterator[GroupElement]:
+    """Every element exactly once, in lexicographic coordinate order."""
+    for coords in all_coords(spec):
         yield GroupElement(spec, coords)
 
 

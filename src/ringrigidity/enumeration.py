@@ -10,7 +10,14 @@ table, making runs reproducible and the search resumable by prefix.
 
 The search space is partitioned by the value of the first constant. A
 serial run loops ``_survivors`` over the parts and a pool maps it over the
-same parts, so both emit in the same order.
+same parts, so both emit in the same order; a pool never has more
+processes than parts or CPUs. Within a part, the emitted tables share one
+element object per coordinate.
+
+On Z/N every ring is checked against the closed form n*m = scale*n*m. The
+check streams ``StructureConstants.product_row`` one row at a time, so it
+makes no element objects and holds O(N) products, not the N x N table. Its
+N rings x N^2 products are charged to the budget up front.
 
 ``full_table_oracle`` is the independent cross-check: it enumerates raw
 N x N Cayley tables with no structure-constant machinery at all and keeps
@@ -21,11 +28,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
-from .abelian import GroupSpec, all_elements, element_order
+from .abelian import GroupElement, GroupSpec, all_elements, element_order
 from .errors import CapacityError, InvariantViolation, UsageError
 from .structures import RingStructure, StructureConstants, associative_table
 
@@ -68,12 +76,17 @@ def _survivors(task: tuple) -> list[RingStructure]:
     moduli, first, rest = task
     spec = GroupSpec(moduli)
     k = spec.rank
+    # one object per distinct coordinate, shared by every table of the part,
+    # so the pickle of a pool batch holds each element once
+    elements = {c: GroupElement(spec, c) for c in {first}.union(*rest)}
     found = []
     for tail in itertools.product(*rest):
         flat = (first,) + tail
         table = tuple(flat[i * k : (i + 1) * k] for i in range(k))
         if associative_table(moduli, table):
-            constants = StructureConstants.from_coords(spec, table)
+            constants = StructureConstants(
+                spec, tuple(tuple(elements[c] for c in row) for row in table)
+            )
             found.append(RingStructure.from_constants(constants))
     return found
 
@@ -103,7 +116,7 @@ def enumerate_multiplications(
         for task in tasks:
             yield from _survivors(task)
         return
-    with Pool(min(config.workers, len(tasks))) as pool:
+    with Pool(min(config.workers, len(tasks), os.cpu_count() or 1)) as pool:
         for batch in pool.map(_survivors, tasks):
             yield from batch
 
@@ -122,11 +135,32 @@ class RigidityReport:
     search_space: int
 
 
+def _charge_scaled_form(modulus: int, config: SearchConfig) -> None:
+    """Refuse a Z/modulus census whose scaled-form check exceeds the budget.
+
+    The check evaluates modulus^2 products for each of the modulus rings.
+    """
+    cells = modulus**3
+    if cells > config.budget:
+        raise CapacityError(
+            f"scaled-form check on Z/{modulus} evaluates {cells} products "
+            f"({modulus} rings x {modulus}^2), over the budget of {config.budget}"
+        )
+
+
 def _matches_scaled_form(constants: StructureConstants) -> bool:
-    """Whether a cyclic multiplication is scale*n*m for its own scale mul(1, 1)."""
+    """Whether a cyclic multiplication is scale*n*m for its own scale mul(1, 1).
+
+    Compares the evaluator's rows with the closed form one row at a time
+    and stops at the first mismatch.
+    """
     modulus = constants.group.moduli[0]
     scale = constants.table[0][0].coords[0]
-    return expand_to_full_table(constants) == scaled_full_table(modulus, scale)
+    return all(
+        constants.product_row((n,))
+        == [(scale * n * m % modulus,) for m in range(modulus)]
+        for n in range(modulus)
+    )
 
 
 def rigidity_report(
@@ -139,6 +173,8 @@ def rigidity_report(
     scales: list[int] = []
     scaled_form_all: Optional[bool] = True if spec.is_cyclic else None
     examples: list[RingStructure] = []
+    if spec.is_cyclic:
+        _charge_scaled_form(spec.moduli[0], config)
     for ring in enumerate_multiplications(spec, config):
         total += 1
         if ring.commutative:
@@ -183,6 +219,7 @@ def classify_cyclic(
     guarantees, so it raises rather than reports.
     """
     spec = GroupSpec((modulus,))
+    _charge_scaled_form(modulus, config)
     out = []
     for ring in enumerate_multiplications(spec, config):
         scale = ring.mult.table[0][0].coords[0]
@@ -254,10 +291,9 @@ def full_table_oracle(modulus: int) -> frozenset[FullTable]:
 
 def expand_to_full_table(constants: StructureConstants) -> FullTable:
     """Expand a cyclic structure-constant table to its full Cayley table."""
-    spec = constants.group
-    elements = [spec.element(n) for n in range(spec.moduli[0])]
     return tuple(
-        tuple(constants.eval(g, h).coords[0] for h in elements) for g in elements
+        tuple(c for (c,) in constants.product_row((n,)))
+        for n in range(constants.group.moduli[0])
     )
 
 

@@ -10,6 +10,12 @@ construction time. Associativity is the tensor identity
 sum_s C[i][j]_s C[s][l]_t = sum_s C[j][l]_s C[i][s]_t (mod n_t) for all
 i, j, l, t, checked on the plain coordinate table by ``associative_table``.
 
+Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
+of the generators. ``eval`` applies it to one element and returns an
+element; ``product_row`` applies it to every element in lexicographic order
+and returns plain coordinate tuples. ``find_unit`` scans coordinate tuples
+and builds an element only for the unit it returns.
+
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity on small
 exhaustive triples plus random samples.
@@ -18,6 +24,7 @@ exhaustive triples plus random samples.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,7 +33,7 @@ from .abelian import (
     GroupElement,
     GroupSpec,
     IntegerWindow,
-    all_elements,
+    all_coords,
     checked_add,
     element_order,
 )
@@ -73,22 +80,52 @@ class StructureConstants:
         )
         return cls(group, table)
 
+    def _left_images(self, x) -> list[list[int]]:
+        """The kernel: x*e_j = sum_i x_i C[i][j] for every generator e_j.
+
+        ``x`` is a coordinate tuple; the images are plain unreduced ints.
+        """
+        images = []
+        for column in zip(*self.table):
+            image = [0] * len(column)
+            for xi, entry in zip(x, column):
+                if xi:
+                    for t, c in enumerate(entry.coords):
+                        image[t] += xi * c
+            images.append(image)
+        return images
+
+    def _product(self, x, y) -> tuple[int, ...]:
+        """x*y = sum_j y_j (x*e_j) on coordinate tuples, reduced."""
+        acc = [0] * self.group.rank
+        for yj, image in zip(y, self._left_images(x)):
+            if yj:
+                for t, c in enumerate(image):
+                    acc[t] += yj * c
+        return tuple(map(operator.mod, acc, self.group.moduli))
+
     def eval(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """The bilinear product of g and h: sum of g_i * h_j * C[i][j]."""
         if g.group != self.group or h.group != self.group:
             raise UsageError("eval: elements do not belong to this table's group")
-        acc = [0] * self.group.rank
-        for i, gi in enumerate(g.coords):
-            if gi == 0:
-                continue
-            row = self.table[i]
-            for j, hj in enumerate(h.coords):
-                if hj == 0:
-                    continue
-                c = gi * hj
-                for t, x in enumerate(row[j].coords):
-                    acc[t] += c * x
-        return GroupElement(self.group, tuple(acc))
+        return GroupElement(self.group, self._product(g.coords, h.coords))
+
+    def product_row(self, x) -> list[tuple[int, ...]]:
+        """x*y for every y in lexicographic order, as reduced coordinate tuples.
+
+        Each coordinate column is built generator by generator, one
+        multiply-add per generator per cell; no element objects are made.
+        """
+        moduli = self.group.moduli
+        images = self._left_images(x)
+        columns = []
+        for t, n in enumerate(moduli):
+            column = [0]
+            for image, nj in zip(images, moduli):
+                c = image[t]
+                column = [(a + m * c) % n for a in column for m in range(nj)]
+            columns.append(column)
+        return list(zip(*columns))
 
     def coords_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """The table as plain coordinate tuples, for serialization."""
@@ -134,21 +171,22 @@ def check_commutativity(constants: StructureConstants) -> bool:
 def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     """The unique two-sided identity, or None.
 
-    Scans all elements, testing each candidate against the generators
-    (sufficient by bilinearity); a surviving candidate is then verified
-    against every element before being returned.
+    Scans all coordinate tuples, testing each candidate against the
+    generators (sufficient by bilinearity); a surviving candidate is then
+    verified on both sides against every element, and only the unit
+    returned becomes an element object.
     """
-    gens = constants.group.generators()
-    for u in all_elements(constants.group):
-        if all(
-            constants.eval(u, e) == e and constants.eval(e, u) == e
-            for e in gens
-        ):
-            for g in all_elements(constants.group):
-                if constants.eval(u, g) != g or constants.eval(g, u) != g:
-                    break
-            else:
-                return u
+    spec = constants.group
+    k = spec.rank
+    gens = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    product = constants._product
+    for u in all_coords(spec):
+        if all(product(u, e) == e and product(e, u) == e for e in gens):
+            everything = list(all_coords(spec))
+            if constants.product_row(u) == everything and all(
+                product(g, u) == g for g in everything
+            ):
+                return GroupElement(spec, u)
     return None
 
 

@@ -106,19 +106,20 @@ def full_mult_table(constants: StructureConstants) -> dict:
 def shifted_product(monkeypatch):
     """Break the scaled form on Z/6 at scale 1: the product 2*3 reads 1, not 0.
 
-    The associativity and unit checks never evaluate that pair, so the ring
-    still reaches the scaled-form check, which must catch it.
+    The product sits at row 2, entry 3 of ``product_row``. The associativity
+    and unit checks never read that row, so the ring still reaches the
+    scaled-form check, which must catch it.
     """
-    original = StructureConstants.eval
+    original = StructureConstants.product_row
 
-    def shifted(self, g, h):
-        product = original(self, g, h)
+    def shifted(self, x):
+        row = original(self, x)
         if (
             self.group.moduli == (6,)
             and self.table[0][0].coords == (1,)
-            and (g.coords, h.coords) == ((2,), (3,))
+            and tuple(x) == (2,)
         ):
-            return product + self.group.element(1)
-        return product
+            row[3] = ((row[3][0] + 1) % 6,)
+        return row
 
-    monkeypatch.setattr(StructureConstants, "eval", shifted)
+    monkeypatch.setattr(StructureConstants, "product_row", shifted)

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import ringrigidity
+from ringrigidity import enumeration
 from ringrigidity.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,6 +40,8 @@ class TestGoldenFiles:
             ("classify_12", ["classify", "--modulus", "12"]),
             ("enumerate_2_2", ["enumerate", "--group", "2,2"]),
             ("matrix_demo_2_7", ["matrix-demo", "--n", "2", "--mod", "7"]),
+            ("classify_48", ["classify", "--modulus", "48"]),
+            ("enumerate_64", ["enumerate", "--group", "64"]),
         ],
     )
     def test_byte_stable(self, name, args):
@@ -130,6 +134,30 @@ class TestExitCodes:
     def test_classify_capacity_is_three(self):
         code, doc = run_json("classify", "--modulus", "20000")
         assert code == 3
+
+    @pytest.mark.parametrize("budget,code", [("1728", 0), ("1727", 3)])
+    def test_classify_charges_scaled_form_check(self, monkeypatch, budget, code):
+        # Z/12: 12 rings x 12^2 products = 1728 checked cells
+        monkeypatch.setenv("RIGIDITY_BUDGET", budget)
+        got, doc = run_json("classify", "--modulus", "12")
+        assert got == code
+        jsonschema.validate(doc, SCHEMA)
+        if code:
+            assert "1728" in doc["payload"]["message"]
+            assert "1727" in doc["payload"]["message"]
+
+    def test_classify_9999_refused_up_front(self, monkeypatch):
+        def no_census(*args):
+            raise AssertionError("the census started before the work charge")
+
+        monkeypatch.setattr(enumeration, "enumerate_multiplications", no_census)
+        start = time.perf_counter()
+        code, doc = run_json("classify", "--modulus", "9999")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert doc["status"] == "error"
+        assert str(9999**3) in doc["payload"]["message"]
+        jsonschema.validate(doc, SCHEMA)
 
     def test_overflow_is_four(self):
         code, doc = run_json(

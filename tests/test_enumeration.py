@@ -4,6 +4,7 @@ import pytest
 
 from ringrigidity import (
     CapacityError,
+    GroupElement,
     GroupSpec,
     InvariantViolation,
     SearchConfig,
@@ -15,6 +16,8 @@ from ringrigidity import (
     rigidity_report,
     search_space_size,
 )
+from ringrigidity import enumeration
+from ringrigidity.enumeration import _candidate_sets, _survivors
 
 from conftest import factor_sequences, object_path_census
 
@@ -171,6 +174,34 @@ class TestObjectPathOracle:
         assert report.total == 121
         assert calls[0] == report.total
 
+    def test_cyclic_report_builds_few_elements(self, monkeypatch):
+        # the scaled-form check and the unit search run on coordinate
+        # tuples; an object per product would take N^3 = 262144 here
+        calls = [0]
+        original = GroupElement.__post_init__
+
+        def counted(self):
+            calls[0] += 1
+            original(self)
+
+        monkeypatch.setattr(GroupElement, "__post_init__", counted)
+        report = rigidity_report(GroupSpec((64,)))
+        assert report.total == 64 and report.scaled_form_all is True
+        assert calls[0] < 2 * 64**2
+
+    def test_part_shares_element_objects(self):
+        # every table of one part reuses one object per coordinate, so a
+        # pool batch pickles each element once
+        spec = GroupSpec((2, 2))
+        sets = _candidate_sets(spec)
+        rings = _survivors((spec.moduli, sets[0][0], sets[1:]))
+        by_coords = {}
+        for ring in rings:
+            for row in ring.mult.table:
+                for entry in row:
+                    assert by_coords.setdefault(entry.coords, entry) is entry
+        assert len(rings) > 1 and len(by_coords) > 1
+
 
 class TestProductGroups:
     def test_coprime_factors_force_zero_cross_constants(self):
@@ -237,6 +268,37 @@ class TestDeterminismAndParallelism:
         parallel = coords_tables(spec, SearchConfig(workers=3))
         assert serial == parallel
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # no real processes: the stand-in pool records its size and maps
+        # serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(enumeration, "Pool", SerialPool)
+        spec = GroupSpec((8,))
+        serial = coords_tables(spec)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+        assert coords_tables(spec, SearchConfig(workers=5000)) == serial
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+        assert coords_tables(spec, SearchConfig(workers=5000)) == serial
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+        assert coords_tables(spec, SearchConfig(workers=2)) == serial
+        # 8 first-cell tasks bound the pool when CPUs and workers are many
+        assert coords_tables(spec, SearchConfig(workers=5000)) == serial
+        assert sizes == [3, 1, 2, 8]
+
     def test_lexicographic_emission_order(self):
         tables = coords_tables(GroupSpec((5,)))
         assert tables == sorted(tables)
@@ -252,6 +314,16 @@ class TestCapsAndBudget:
         spec = GroupSpec((2, 2))
         rings = list(enumerate_multiplications(spec, SearchConfig(budget=256)))
         assert len(rings) == 28
+
+    def test_scaled_form_work_charged(self):
+        # Z/N checks N rings of N^2 products each, before any work starts
+        spec = GroupSpec((12,))
+        assert rigidity_report(spec, SearchConfig(budget=1728)).total == 12
+        assert len(classify_cyclic(12, SearchConfig(budget=1728))) == 12
+        with pytest.raises(CapacityError, match=r"1728.*1727"):
+            rigidity_report(spec, SearchConfig(budget=1727))
+        with pytest.raises(CapacityError, match=r"1728.*1727"):
+            classify_cyclic(12, SearchConfig(budget=1727))
 
     def test_group_order_cap(self):
         with pytest.raises(CapacityError):

@@ -226,6 +226,61 @@ class TestFindUnit:
         assert find_unit(c) == c.group.element((1, 0))
 
 
+def componentwise_constants(spec: GroupSpec) -> StructureConstants:
+    """The product ring Z/n_1 x ... x Z/n_k: e_i e_i = e_i, other products 0."""
+    gens = spec.generators()
+    k = spec.rank
+    return StructureConstants(
+        spec,
+        tuple(
+            tuple(gens[i] if i == j else spec.zero() for j in range(k))
+            for i in range(k)
+        ),
+    )
+
+
+class TestKernelAgainstIteratedAddition:
+    """``product_row``, ``eval`` and ``find_unit`` against ``naive_eval``."""
+
+    @pytest.mark.parametrize(
+        "moduli", factor_sequences(12), ids=lambda m: ",".join(map(str, m))
+    )
+    def test_every_product(self, moduli):
+        spec = GroupSpec(moduli)
+        rng = random.Random(spec.order * 31 + spec.rank)
+        cases = [componentwise_constants(spec)]
+        cases += [random_constants(spec, rng) for _ in range(2)]
+        elements = list(all_elements(spec))
+        for c in cases:
+            naive = {
+                (g, h): naive_eval(c.table, g, h)
+                for g in elements
+                for h in elements
+            }
+            for g in elements:
+                assert c.product_row(g.coords) == [
+                    naive[(g, h)].coords for h in elements
+                ]
+                for h in elements:
+                    assert c.eval(g, h) == naive[(g, h)]
+            units = [
+                u
+                for u in elements
+                if all(
+                    naive[(u, g)] == g and naive[(g, u)] == g for g in elements
+                )
+            ]
+            assert find_unit(c) == (units[0] if units else None)
+        # the componentwise ring is unital with unit (1, ..., 1)
+        assert find_unit(cases[0]) == spec.element((1,) * spec.rank)
+
+    def test_row_reduces_unreduced_input(self):
+        # coordinates outside [0, n) act through their residues
+        c = cyclic_constants(6, 5)
+        assert c.product_row((8,)) == c.product_row((2,))
+        assert c.product_row((-1,)) == c.product_row((5,))
+
+
 class TestWellDefinedness:
     def test_violating_table_rejected(self):
         spec = GroupSpec((2, 4))
