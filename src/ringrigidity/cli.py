@@ -25,6 +25,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     FULL_TABLE_CAP,
     SearchConfig,
+    charge,
     classify_cyclic,
     full_table_oracle,
     rigidity_report,
@@ -39,6 +40,7 @@ from .errors import (
 from .matrices import (
     HADAMARD,
     STANDARD,
+    MatrixElement,
     mat_mul_standard,
     noncommutativity_witness,
     sample_axioms,
@@ -57,11 +59,13 @@ from .scaled import (
 
 BUDGET_ENV_VAR = "RIGIDITY_BUDGET"
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_CAPACITY = 3
-EXIT_OVERFLOW = 4
-EXIT_INVARIANT = 5
+# the exit code of each failure; success exits 0
+_EXIT_CODES = {
+    UsageError: 2,
+    CapacityError: 3,
+    IntegerOverflowError: 4,
+    InvariantViolation: 5,
+}
 
 
 def _resolve_budget(flag_value: int | None) -> int:
@@ -104,7 +108,7 @@ def _run_enumerate(args) -> tuple[dict, dict]:
         "search_space": report.search_space,
         "unital_examples": [
             {
-                "table": ring.mult.coords_table(),
+                "table": ring.mult.table,
                 "unit": list(ring.unit.coords),
             }
             for ring in report.unital_examples
@@ -162,8 +166,24 @@ def _run_verify_scaled(args) -> tuple[dict, dict]:
     return params, payload
 
 
+def _matrix_demo_work(n: int) -> int:
+    """Scalar multiply-adds of matrix-demo: 12014*n^3 + 12008*n^2 at most.
+
+    A standard product takes n^3 multiply-adds, a Hadamard product n^2.
+    Each mode samples 1000 axiom triples of 12 products and checks its unit
+    on 4 samples (8 products); the standard mode also builds the witness
+    twice and multiplies it both ways (6 products).
+    """
+    return (12 * 1000 + 8 + 6) * n**3 + (12 * 1000 + 8) * n**2
+
+
 def _run_matrix_demo(args) -> tuple[dict, dict]:
     n, modulus = args.n, args.mod
+    MatrixElement(modulus, ((0,),))  # an invalid modulus is a usage error first
+    charge(
+        _matrix_demo_work(n), _resolve_budget(None),
+        f"scalar multiply-adds in matrix-demo at n={n}",
+    )
     units = {
         STANDARD: unit_matrix(STANDARD, n, modulus).to_lists(),
         HADAMARD: unit_matrix(HADAMARD, n, modulus).to_lists(),
@@ -192,8 +212,24 @@ def _run_matrix_demo(args) -> tuple[dict, dict]:
     return {"n": n, "mod": modulus}, payload
 
 
+def _scaled_units_work(modulus: int) -> int:
+    """Ring products of scaled-units on Z/N: 6N^2 + 7N at most.
+
+    Two reciprocal scans of N^2 (this command's and the one inside
+    ``check_scaled_unitality``), N + 1 unit searches of at most 4N each
+    (the base ring's and one per scale: 2N generator screens, 2N to confirm
+    the one candidate that passes) and 3 products per ``scale_ring``.
+    """
+    return 2 * modulus**2 + (modulus + 1) * 4 * modulus + 3 * modulus
+
+
 def _run_scaled_units(args) -> tuple[dict, dict]:
     modulus = args.modulus
+    GroupSpec((modulus,))  # an invalid modulus is a usage error first
+    charge(
+        _scaled_units_work(modulus), _resolve_budget(None),
+        f"ring products in scaled-units on Z/{modulus}",
+    )
     ring = usual_cyclic_ring(modulus)
     violation = find_pm1_violation(ring)
     if violation is None:
@@ -307,21 +343,13 @@ def run(argv=None, stdout=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    status, code = "ok", EXIT_OK
+    status, code = "ok", 0
     try:
         params, payload = _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         params, payload = {}, {"message": str(exc)}
-        status, code = "error", EXIT_USAGE
-    except CapacityError as exc:
-        params, payload = {}, {"message": str(exc)}
-        status, code = "error", EXIT_CAPACITY
-    except IntegerOverflowError as exc:
-        params, payload = {}, {"message": str(exc)}
-        status, code = "error", EXIT_OVERFLOW
-    except InvariantViolation as exc:
-        params, payload = {}, {"message": str(exc)}
-        status, code = "error", EXIT_INVARIANT
+        status = "error"
+        code = next(c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
     elapsed_ms = 0 if args.no_timing else int((time.perf_counter() - start) * 1000)
     result = {
         "command": args.command,

@@ -11,13 +11,16 @@ table, making runs reproducible and the search resumable by prefix.
 The search space is partitioned by the value of the first constant. A
 serial run loops ``_survivors`` over the parts and a pool maps it over the
 same parts, so both emit in the same order; a pool never has more
-processes than parts or CPUs. Within a part, the emitted tables share one
-element object per coordinate.
+processes than parts or CPUs. Workers return rings whose tables are
+plain coordinate tuples; element objects appear only for the units found.
 
 On Z/N every ring is checked against the closed form n*m = scale*n*m. The
 check streams ``StructureConstants.product_row`` one row at a time, so it
-makes no element objects and holds O(N) products, not the N x N table. Its
-N rings x N^2 products are charged to the budget up front.
+makes no element objects and holds O(N) products, not the N x N table.
+
+``charge`` is the one budget gate: the census charges its candidate count,
+a Z/N census also the N rings x N^2 products of that check, and the CLI
+the work bounds of its other commands, all before any work starts.
 
 ``full_table_oracle`` is the independent cross-check: it enumerates raw
 N x N Cayley tables with no structure-constant machinery at all and keeps
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
-from .abelian import GroupElement, GroupSpec, all_elements, element_order
+from .abelian import GroupSpec, all_coords
 from .errors import CapacityError, InvariantViolation, UsageError
 from .structures import RingStructure, StructureConstants, associative_table
 
@@ -55,16 +58,25 @@ class SearchConfig:
                 raise UsageError(f"search config {name} must be positive")
 
 
+def charge(work: int, budget: int, what: str) -> None:
+    """Refuse work up front when it exceeds the budget; ``what`` names its unit."""
+    if work > budget:
+        raise CapacityError(f"{work} {what}, over the budget of {budget}")
+
+
 def _candidate_sets(spec: GroupSpec) -> list[list[tuple[int, ...]]]:
-    """Per table cell (row-major), the coordinates allowed by well-definedness."""
-    elements = list(all_elements(spec))
-    k = spec.rank
-    sets: list[list[tuple[int, ...]]] = []
-    for i in range(k):
-        for j in range(k):
-            d = math.gcd(spec.moduli[i], spec.moduli[j])
-            sets.append([g.coords for g in elements if d % element_order(g) == 0])
-    return sets
+    """Per table cell (row-major), the x with d*x = 0 for d = gcd(n_i, n_j).
+
+    In a factor Z/n that allows the multiples of n / gcd(n, d), so each set
+    comes out in lexicographic order without a scan of the group.
+    """
+    all_coords(spec)  # the element cap refuses huge groups, as the scan did
+    moduli = spec.moduli
+    return [
+        list(itertools.product(*(range(0, n, n // math.gcd(n, a, b)) for n in moduli)))
+        for a in moduli
+        for b in moduli
+    ]
 
 
 def search_space_size(spec: GroupSpec) -> int:
@@ -76,17 +88,12 @@ def _survivors(task: tuple) -> list[RingStructure]:
     moduli, first, rest = task
     spec = GroupSpec(moduli)
     k = spec.rank
-    # one object per distinct coordinate, shared by every table of the part,
-    # so the pickle of a pool batch holds each element once
-    elements = {c: GroupElement(spec, c) for c in {first}.union(*rest)}
     found = []
     for tail in itertools.product(*rest):
         flat = (first,) + tail
         table = tuple(flat[i * k : (i + 1) * k] for i in range(k))
         if associative_table(moduli, table):
-            constants = StructureConstants(
-                spec, tuple(tuple(elements[c] for c in row) for row in table)
-            )
+            constants = StructureConstants(spec, table)
             found.append(RingStructure.from_constants(constants))
     return found
 
@@ -105,12 +112,10 @@ def enumerate_multiplications(
             f"group order {spec.order} exceeds the search cap {GROUP_ORDER_CAP}"
         )
     sets = _candidate_sets(spec)
-    size = math.prod(len(s) for s in sets)
-    if size > config.budget:
-        raise CapacityError(
-            f"search space has {size} candidate tables, over the budget "
-            f"of {config.budget}"
-        )
+    charge(
+        math.prod(len(s) for s in sets), config.budget,
+        f"candidate tables in the search space of {spec}",
+    )
     tasks = [(spec.moduli, first, sets[1:]) for first in sets[0]]
     if config.workers <= 1:
         for task in tasks:
@@ -135,19 +140,6 @@ class RigidityReport:
     search_space: int
 
 
-def _charge_scaled_form(modulus: int, config: SearchConfig) -> None:
-    """Refuse a Z/modulus census whose scaled-form check exceeds the budget.
-
-    The check evaluates modulus^2 products for each of the modulus rings.
-    """
-    cells = modulus**3
-    if cells > config.budget:
-        raise CapacityError(
-            f"scaled-form check on Z/{modulus} evaluates {cells} products "
-            f"({modulus} rings x {modulus}^2), over the budget of {config.budget}"
-        )
-
-
 def _matches_scaled_form(constants: StructureConstants) -> bool:
     """Whether a cyclic multiplication is scale*n*m for its own scale mul(1, 1).
 
@@ -155,7 +147,7 @@ def _matches_scaled_form(constants: StructureConstants) -> bool:
     and stops at the first mismatch.
     """
     modulus = constants.group.moduli[0]
-    scale = constants.table[0][0].coords[0]
+    scale = constants.table[0][0][0]
     return all(
         constants.product_row((n,))
         == [(scale * n * m % modulus,) for m in range(modulus)]
@@ -174,7 +166,10 @@ def rigidity_report(
     scaled_form_all: Optional[bool] = True if spec.is_cyclic else None
     examples: list[RingStructure] = []
     if spec.is_cyclic:
-        _charge_scaled_form(spec.moduli[0], config)
+        n = spec.moduli[0]
+        charge(
+            n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)"
+        )
     for ring in enumerate_multiplications(spec, config):
         total += 1
         if ring.commutative:
@@ -182,7 +177,7 @@ def rigidity_report(
         if ring.unit is not None:
             unital += 1
             if spec.is_cyclic:
-                scales.append(ring.mult.table[0][0].coords[0])
+                scales.append(ring.mult.table[0][0][0])
             if len(examples) < 2 and all(
                 ring.mult.table != seen.mult.table for seen in examples
             ):
@@ -219,10 +214,13 @@ def classify_cyclic(
     guarantees, so it raises rather than reports.
     """
     spec = GroupSpec((modulus,))
-    _charge_scaled_form(modulus, config)
+    charge(
+        modulus**3, config.budget,
+        f"scaled-form products on Z/{modulus} ({modulus} rings x {modulus}^2)",
+    )
     out = []
     for ring in enumerate_multiplications(spec, config):
-        scale = ring.mult.table[0][0].coords[0]
+        scale = ring.mult.table[0][0][0]
         if not _matches_scaled_form(ring.mult):
             raise InvariantViolation(
                 f"multiplication on Z/{modulus} is not the scaled form of its "

@@ -11,7 +11,9 @@ On finite base rings: ``scale_ring`` transplants the same construction to
 an arbitrary associative ring with a central scale element, and
 ``check_scaled_unitality`` verifies that the "unital iff scale is plus or
 minus one" pattern holds exactly for base rings whose only reciprocal
-pairs are (1, 1) and (-1, -1).
+pairs are (1, 1) and (-1, -1). The scaled tables and the reciprocal-pair
+scan run on the base ring's coordinate kernel; scales, units and violation
+pairs stay ``GroupElement``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .abelian import (
     INT_CAPACITY,
     GroupElement,
     IntegerWindow,
+    all_coords,
     all_elements,
     checked,
     scalar_mul,
@@ -218,7 +221,7 @@ def scale_ring(ring: RingStructure, a: GroupElement) -> StructureConstants:
                 f"with {e}"
             )
     table = tuple(
-        tuple(mult.eval(a, entry) for entry in row) for row in mult.table
+        tuple(mult.product(a.coords, e) for e in row) for row in mult.table
     )
     return StructureConstants(ring.group, table)
 
@@ -226,18 +229,21 @@ def scale_ring(ring: RingStructure, a: GroupElement) -> StructureConstants:
 def find_pm1_violation(
     ring: RingStructure,
 ) -> Optional[tuple[GroupElement, GroupElement]]:
-    """First pair (a, u) with a*u = 1 beyond (1, 1) and (-1, -1), if any."""
+    """First pair (a, u) with a*u = 1 beyond (1, 1) and (-1, -1), if any.
+
+    Scans one ``product_row(a)`` at a time; only the pair returned is built.
+    """
     _require_associative(ring, "find_pm1_violation")
     if ring.unit is None:
         raise UsageError("the reciprocal-pair scan needs a unital base ring")
-    one = ring.unit
-    minus_one = scalar_mul(-1, one)
-    for a in all_elements(ring.group):
-        for u in all_elements(ring.group):
-            if ring.mult.eval(a, u) == one:
-                if (a == one and u == one) or (a == minus_one and u == minus_one):
-                    continue
-                return (a, u)
+    spec = ring.group
+    one = ring.unit.coords
+    minus_one = tuple(-c % n for c, n in zip(one, spec.moduli))
+    trivial = {(one, one), (minus_one, minus_one)}
+    for a in all_coords(spec):
+        for u, product in zip(all_coords(spec), ring.mult.product_row(a)):
+            if product == one and (a, u) not in trivial:
+                return GroupElement(spec, a), GroupElement(spec, u)
     return None
 
 

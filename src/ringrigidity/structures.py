@@ -2,19 +2,20 @@
 
 A bilinear multiplication on Z/n_1 x ... x Z/n_k is pinned down by its
 structure constants, the k x k table of generator products C[i][j] =
-e_i * e_j. Distributivity then holds by construction, so only
-associativity, commutativity and unitality remain to be checked. The
-bilinear extension is consistent on the quotients exactly when the order
-of C[i][j] divides gcd(n_i, n_j); tables violating that are rejected at
-construction time. Associativity is the tensor identity
+e_i * e_j, stored as reduced coordinate tuples. Distributivity then holds
+by construction, so only associativity, commutativity and unitality remain
+to be checked. The bilinear extension is consistent on the quotients
+exactly when the order of C[i][j] divides d = gcd(n_i, n_j), that is when
+d*x = 0 (mod n_t) for every coordinate x of C[i][j]; the constructor
+rejects tables violating that. Associativity is the tensor identity
 sum_s C[i][j]_s C[s][l]_t = sum_s C[j][l]_s C[i][s]_t (mod n_t) for all
-i, j, l, t, checked on the plain coordinate table by ``associative_table``.
+i, j, l, t, checked on the table by ``associative_table``.
 
 Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
-of the generators. ``eval`` applies it to one element and returns an
-element; ``product_row`` applies it to every element in lexicographic order
-and returns plain coordinate tuples. ``find_unit`` scans coordinate tuples
-and builds an element only for the unit it returns.
+of the generators. ``product`` applies it to two coordinate tuples and
+``product_row`` to every element in lexicographic order; ``eval`` is the
+element-object edge, taking and returning ``GroupElement``. ``find_unit``
+scans coordinate tuples and builds an element only for the unit it returns.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity on small
@@ -44,41 +45,43 @@ BlackBoxMul = Callable[[int, int], int]
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Generator products determining a bilinear multiplication."""
+    """Generator products determining a bilinear multiplication.
+
+    ``table[i][j]`` holds the reduced coordinates of C[i][j]; the
+    constructor takes coordinate vectors, or bare residues for rank 1.
+    """
 
     group: GroupSpec
-    table: tuple[tuple[GroupElement, ...], ...]
+    table: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __post_init__(self) -> None:
-        k = self.group.rank
-        table = tuple(tuple(row) for row in self.table)
-        if len(table) != k or any(len(row) != k for row in table):
-            raise UsageError(f"structure-constant table must be {k}x{k}")
-        moduli = self.group.moduli
+        k, moduli = self.group.rank, self.group.moduli
+        table = [
+            [(e,) if isinstance(e, int) else tuple(e) for e in row]
+            for row in self.table
+        ]
+        if len(table) != k or any(
+            len(row) != k or any(len(e) != k for e in row) for row in table
+        ):
+            raise UsageError(
+                f"structure-constant table must be {k}x{k}, with {k} "
+                "coordinates per entry"
+            )
         for i, row in enumerate(table):
             for j, entry in enumerate(row):
-                if entry.group != self.group:
-                    raise UsageError(
-                        f"table entry [{i}][{j}] belongs to {entry.group}, "
-                        f"not {self.group}"
-                    )
                 bound = math.gcd(moduli[i], moduli[j])
-                if bound % element_order(entry) != 0:
+                if any(bound * x % n for x, n in zip(entry, moduli)):
+                    g = GroupElement(self.group, entry)
                     raise UsageError(
-                        f"table entry [{i}][{j}] = {entry} has order "
-                        f"{element_order(entry)}, which does not divide "
+                        f"table entry [{i}][{j}] = {g} has order "
+                        f"{element_order(g)}, which does not divide "
                         f"gcd({moduli[i]}, {moduli[j]}) = {bound}; the "
                         "bilinear extension would be ill-defined"
                     )
-        object.__setattr__(self, "table", table)
-
-    @classmethod
-    def from_coords(cls, group: GroupSpec, entries) -> StructureConstants:
-        """Build from raw coordinate vectors (or bare residues for rank 1)."""
         table = tuple(
-            tuple(group.element(e) for e in row) for row in entries
+            tuple(tuple(map(operator.mod, e, moduli)) for e in row) for row in table
         )
-        return cls(group, table)
+        object.__setattr__(self, "table", table)
 
     def _left_images(self, x) -> list[list[int]]:
         """The kernel: x*e_j = sum_i x_i C[i][j] for every generator e_j.
@@ -90,12 +93,12 @@ class StructureConstants:
             image = [0] * len(column)
             for xi, entry in zip(x, column):
                 if xi:
-                    for t, c in enumerate(entry.coords):
+                    for t, c in enumerate(entry):
                         image[t] += xi * c
             images.append(image)
         return images
 
-    def _product(self, x, y) -> tuple[int, ...]:
+    def product(self, x, y) -> tuple[int, ...]:
         """x*y = sum_j y_j (x*e_j) on coordinate tuples, reduced."""
         acc = [0] * self.group.rank
         for yj, image in zip(y, self._left_images(x)):
@@ -108,7 +111,7 @@ class StructureConstants:
         """The bilinear product of g and h: sum of g_i * h_j * C[i][j]."""
         if g.group != self.group or h.group != self.group:
             raise UsageError("eval: elements do not belong to this table's group")
-        return GroupElement(self.group, self._product(g.coords, h.coords))
+        return GroupElement(self.group, self.product(g.coords, h.coords))
 
     def product_row(self, x) -> list[tuple[int, ...]]:
         """x*y for every y in lexicographic order, as reduced coordinate tuples.
@@ -127,15 +130,10 @@ class StructureConstants:
             columns.append(column)
         return list(zip(*columns))
 
-    def coords_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """The table as plain coordinate tuples, for serialization."""
-        return tuple(tuple(e.coords for e in row) for row in self.table)
-
 
 def cyclic_constants(modulus: int, scale: int) -> StructureConstants:
     """The multiplication n*m = scale*n*m on Z/modulus."""
-    spec = GroupSpec((modulus,))
-    return StructureConstants(spec, ((spec.element(scale),),))
+    return StructureConstants(GroupSpec((modulus,)), ((scale,),))
 
 
 def associative_table(moduli: tuple[int, ...], table) -> bool:
@@ -155,7 +153,7 @@ def associative_table(moduli: tuple[int, ...], table) -> bool:
 
 def check_associativity(constants: StructureConstants) -> bool:
     """Associativity on all generator triples (see ``associative_table``)."""
-    return associative_table(constants.group.moduli, constants.coords_table())
+    return associative_table(constants.group.moduli, constants.table)
 
 
 def check_commutativity(constants: StructureConstants) -> bool:
@@ -179,7 +177,7 @@ def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     spec = constants.group
     k = spec.rank
     gens = [tuple(int(j == i) for j in range(k)) for i in range(k)]
-    product = constants._product
+    product = constants.product
     for u in all_coords(spec):
         if all(product(u, e) == e and product(e, u) == e for e in gens):
             everything = list(all_coords(spec))

@@ -30,13 +30,13 @@ def naive_eval(
 ) -> GroupElement:
     """Bilinear product computed purely by iterated addition.
 
-    `table` is a k x k grid of GroupElements; the coordinates of g and h
-    are used as plain repetition counts.
+    `table` is a k x k grid of coordinate tuples; the coordinates of g and
+    h are used as plain repetition counts.
     """
     acc = g.group.zero()
     for i, gi in enumerate(g.coords):
         for j, hj in enumerate(h.coords):
-            acc = acc + iterated_add(table[i][j], gi * hj)
+            acc = acc + iterated_add(g.group.element(table[i][j]), gi * hj)
     return acc
 
 
@@ -74,7 +74,9 @@ def object_path_census(spec: GroupSpec) -> list:
     cells = [allowed_entries(spec, i, j) for i in range(k) for j in range(k)]
     found = []
     for flat in itertools.product(*cells):
-        table = [flat[i * k : (i + 1) * k] for i in range(k)]
+        table = tuple(
+            tuple(e.coords for e in flat[i * k : (i + 1) * k]) for i in range(k)
+        )
         mult = {(g, h): naive_eval(table, g, h) for g in elements for h in elements}
         if all(
             mult[(mult[(a, b)], c)] == mult[(a, mult[(b, c)])]
@@ -82,7 +84,7 @@ def object_path_census(spec: GroupSpec) -> list:
             for b in elements
             for c in elements
         ):
-            found.append(tuple(tuple(e.coords for e in row) for row in table))
+            found.append(table)
     return found
 
 
@@ -90,10 +92,23 @@ def random_constants(spec: GroupSpec, rng: random.Random) -> StructureConstants:
     """A uniformly random well-defined structure-constant table."""
     k = spec.rank
     table = tuple(
-        tuple(rng.choice(allowed_entries(spec, i, j)) for j in range(k))
+        tuple(rng.choice(allowed_entries(spec, i, j)).coords for j in range(k))
         for i in range(k)
     )
     return StructureConstants(spec, table)
+
+
+def pm1_violation_by_eval(ring):
+    """First (a, u) with a*u = 1 beyond (1, 1) and (-1, -1), scanning ``eval``."""
+    one = ring.unit
+    minus_one = -one
+    for a in all_elements(ring.group):
+        for u in all_elements(ring.group):
+            if ring.mult.eval(a, u) == one and (a, u) not in [
+                (one, one), (minus_one, minus_one)
+            ]:
+                return (a, u)
+    return None
 
 
 def full_mult_table(constants: StructureConstants) -> dict:
@@ -116,10 +131,24 @@ def shifted_product(monkeypatch):
         row = original(self, x)
         if (
             self.group.moduli == (6,)
-            and self.table[0][0].coords == (1,)
+            and self.table[0][0] == (1,)
             and tuple(x) == (2,)
         ):
             row[3] = ((row[3][0] + 1) % 6,)
         return row
 
     monkeypatch.setattr(StructureConstants, "product_row", shifted)
+
+
+@pytest.fixture
+def element_count(monkeypatch):
+    """A one-item list counting ``GroupElement`` constructions from now on."""
+    count = [0]
+    original = GroupElement.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        original(self)
+
+    monkeypatch.setattr(GroupElement, "__post_init__", counted)
+    return count

@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 import ringrigidity
-from ringrigidity import enumeration
+from ringrigidity import StructureConstants, cli, enumeration, matrices
 from ringrigidity.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -42,6 +42,8 @@ class TestGoldenFiles:
             ("matrix_demo_2_7", ["matrix-demo", "--n", "2", "--mod", "7"]),
             ("classify_48", ["classify", "--modulus", "48"]),
             ("enumerate_64", ["enumerate", "--group", "64"]),
+            ("scaled_units_12", ["scaled-units", "--modulus", "12"]),
+            ("enumerate_2_6", ["enumerate", "--group", "2,6"]),
         ],
     )
     def test_byte_stable(self, name, args):
@@ -199,6 +201,91 @@ class TestExitCodes:
             code, doc = run_json(*args)
             assert code == expected
             assert (doc["status"] == "ok") == (code == 0)
+
+
+class TestWorkCharges:
+    @pytest.mark.parametrize(
+        "args,work",
+        [
+            (("scaled-units", "--modulus", "12"), 6 * 12**2 + 7 * 12),
+            (("matrix-demo", "--n", "3", "--mod", "5"), 12014 * 3**3 + 12008 * 3**2),
+        ],
+        ids=["scaled-units", "matrix-demo"],
+    )
+    @pytest.mark.parametrize("slack,code", [(0, 0), (-1, 3)], ids=["at", "below"])
+    def test_budget_boundary(self, monkeypatch, args, work, slack, code):
+        monkeypatch.setenv("RIGIDITY_BUDGET", str(work + slack))
+        got, doc = run_json(*args)
+        assert got == code
+        jsonschema.validate(doc, SCHEMA)
+        if code:
+            assert str(work) in doc["payload"]["message"]
+            assert str(work - 1) in doc["payload"]["message"]
+
+    def test_matrix_demo_60_refused_up_front(self):
+        start = time.perf_counter()
+        code, doc = run_json("matrix-demo", "--n", "60", "--mod", "11")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert doc["status"] == "error"
+        jsonschema.validate(doc, SCHEMA)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("matrix-demo", "--n", "60", "--mod", "1"),
+            ("scaled-units", "--modulus", "-5000"),
+        ],
+        ids=["matrix-demo", "scaled-units"],
+    )
+    def test_invalid_input_is_usage_error_before_charge(self, args):
+        # both would be charged over the default budget
+        code, doc = run_json(*args)
+        assert code == 2
+        jsonschema.validate(doc, SCHEMA)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 6, 8, 12, 30])
+    def test_scaled_units_charge_bounds_products(self, monkeypatch, modulus):
+        # one product per product() call (eval and find_unit go through it),
+        # N per product_row
+        count = [0]
+        product = StructureConstants.product
+        row = StructureConstants.product_row
+
+        def counted_product(self, x, y):
+            count[0] += 1
+            return product(self, x, y)
+
+        def counted_row(self, x):
+            count[0] += self.group.order
+            return row(self, x)
+
+        monkeypatch.setattr(StructureConstants, "product", counted_product)
+        monkeypatch.setattr(StructureConstants, "product_row", counted_row)
+        code, _ = run_json("scaled-units", "--modulus", str(modulus))
+        assert code == 0
+        assert 0 < count[0] <= cli._scaled_units_work(modulus)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matrix_demo_charge_bounds_multiply_adds(self, monkeypatch, n):
+        count = [0]
+
+        def counting(product, cost):
+            def counted(a, b):
+                count[0] += cost
+                return product(a, b)
+
+            return counted
+
+        standard = counting(matrices.mat_mul_standard, n**3)
+        monkeypatch.setattr(matrices, "mat_mul_standard", standard)
+        monkeypatch.setattr(cli, "mat_mul_standard", standard)
+        monkeypatch.setattr(
+            matrices, "mat_mul_hadamard", counting(matrices.mat_mul_hadamard, n**2)
+        )
+        code, _ = run_json("matrix-demo", "--n", str(n), "--mod", "5")
+        assert code == 0
+        assert 0 < count[0] <= cli._matrix_demo_work(n)
 
 
 class TestBudgetEnv:

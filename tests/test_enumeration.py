@@ -4,7 +4,6 @@ import pytest
 
 from ringrigidity import (
     CapacityError,
-    GroupElement,
     GroupSpec,
     InvariantViolation,
     SearchConfig,
@@ -17,13 +16,12 @@ from ringrigidity import (
     search_space_size,
 )
 from ringrigidity import enumeration
-from ringrigidity.enumeration import _candidate_sets, _survivors
 
 from conftest import factor_sequences, object_path_census
 
 
 def coords_tables(spec, config=SearchConfig()):
-    return [r.mult.coords_table() for r in enumerate_multiplications(spec, config)]
+    return [r.mult.table for r in enumerate_multiplications(spec, config)]
 
 
 class TestCyclicCountLaw:
@@ -31,7 +29,7 @@ class TestCyclicCountLaw:
     def test_exactly_n_multiplications(self, modulus):
         rings = list(enumerate_multiplications(GroupSpec((modulus,))))
         assert len(rings) == modulus
-        scales = sorted(r.mult.table[0][0].coords[0] for r in rings)
+        scales = sorted(r.mult.table[0][0][0] for r in rings)
         assert scales == list(range(modulus))
 
     @pytest.mark.parametrize("modulus", range(2, 17))
@@ -174,33 +172,19 @@ class TestObjectPathOracle:
         assert report.total == 121
         assert calls[0] == report.total
 
-    def test_cyclic_report_builds_few_elements(self, monkeypatch):
+    def test_cyclic_report_builds_few_elements(self, element_count):
         # the scaled-form check and the unit search run on coordinate
         # tuples; an object per product would take N^3 = 262144 here
-        calls = [0]
-        original = GroupElement.__post_init__
-
-        def counted(self):
-            calls[0] += 1
-            original(self)
-
-        monkeypatch.setattr(GroupElement, "__post_init__", counted)
         report = rigidity_report(GroupSpec((64,)))
         assert report.total == 64 and report.scaled_form_all is True
-        assert calls[0] < 2 * 64**2
+        assert element_count[0] < 2 * 64**2
 
-    def test_part_shares_element_objects(self):
-        # every table of one part reuses one object per coordinate, so a
-        # pool batch pickles each element once
-        spec = GroupSpec((2, 2))
-        sets = _candidate_sets(spec)
-        rings = _survivors((spec.moduli, sets[0][0], sets[1:]))
-        by_coords = {}
-        for ring in rings:
-            for row in ring.mult.table:
-                for entry in row:
-                    assert by_coords.setdefault(entry.coords, entry) is entry
-        assert len(rings) > 1 and len(by_coords) > 1
+    def test_census_builds_elements_only_for_units(self, element_count):
+        # tables, candidate sets and the unit screens are coordinate tuples;
+        # the only elements are the units the unital rings return
+        report = rigidity_report(GroupSpec((4, 4)))
+        assert report.unital_count == 192
+        assert element_count[0] <= report.unital_count
 
 
 class TestProductGroups:
@@ -208,7 +192,7 @@ class TestProductGroups:
         spec = GroupSpec((2, 3))
         rings = list(enumerate_multiplications(spec))
         assert len(rings) == 6
-        zero = spec.zero()
+        zero = spec.zero().coords
         for ring in rings:
             assert ring.mult.table[0][1] == zero
             assert ring.mult.table[1][0] == zero

@@ -27,6 +27,9 @@ from ringrigidity import (
 )
 from ringrigidity.scaled import scaled_identity_failure, scaled_identity_suite
 
+from conftest import pm1_violation_by_eval
+from test_structures import componentwise_constants, klein_field_constants
+
 
 class TestMakeScaled:
     def test_usual(self):
@@ -289,6 +292,23 @@ class TestPm1UnitProperty:
         witness = find_pm1_violation(usual_cyclic_ring(8))
         assert witness is not None
 
+    def test_row_scan_builds_only_the_pair(self, element_count):
+        witness = find_pm1_violation(usual_cyclic_ring(200))
+        assert witness is not None
+        assert element_count[0] <= 3  # the base unit and the pair
+
+    @pytest.mark.parametrize(
+        "ring",
+        [usual_cyclic_ring(n) for n in range(2, 41)]
+        + [
+            RingStructure.from_constants(klein_field_constants()),
+            RingStructure.from_constants(componentwise_constants(GroupSpec((2, 4)))),
+        ],
+        ids=[f"Z{n}" for n in range(2, 41)] + ["klein_field", "componentwise_2_4"],
+    )
+    def test_row_scan_matches_eval_scan(self, ring):
+        assert find_pm1_violation(ring) == pm1_violation_by_eval(ring)
+
     def test_needs_unit(self):
         spec = GroupSpec((4,))
         zero_ring = RingStructure.from_constants(
@@ -341,8 +361,6 @@ class TestScaledUnitality:
     def test_klein_field_fails_rule(self):
         # the four-element field has units {1, w, w^2} but 1 is its own
         # negative, so a*u = 1 admits (w, w^2): property fails
-        from test_structures import klein_field_constants
-
         ring = RingStructure.from_constants(klein_field_constants())
         assert not has_pm1_unit_property(ring)
         entries = scaled_unit_sweep(ring)

@@ -32,9 +32,7 @@ def klein_field_constants() -> StructureConstants:
     # the four-element field on Z/2 x Z/2: e0 acts as 1, e1 as a root of
     # x^2 + x + 1, so e1*e1 = e1 + e0
     spec = GroupSpec((2, 2))
-    return StructureConstants.from_coords(
-        spec, (((1, 0), (0, 1)), ((0, 1), (1, 1)))
-    )
+    return StructureConstants(spec, (((1, 0), (0, 1)), ((0, 1), (1, 1))))
 
 
 class TestEval:
@@ -136,7 +134,7 @@ class TestAssociativity:
 
     def test_zero_table(self):
         spec = GroupSpec((3, 3))
-        zero = spec.zero()
+        zero = spec.zero().coords
         c = StructureConstants(spec, ((zero, zero), (zero, zero)))
         assert check_associativity(c)
 
@@ -150,7 +148,7 @@ class TestAssociativity:
                 c = random_constants(spec, rng)
                 assert check_associativity(c) == full_associativity_scan(c), (
                     moduli,
-                    c.coords_table(),
+                    c.table,
                 )
 
 
@@ -160,14 +158,12 @@ class TestCommutativity:
 
     def test_asymmetric_table(self):
         spec = GroupSpec((2, 2))
-        c = StructureConstants.from_coords(
-            spec, (((0, 0), (1, 0)), ((0, 0), (0, 0)))
-        )
+        c = StructureConstants(spec, (((0, 0), (1, 0)), ((0, 0), (0, 0))))
         assert not check_commutativity(c)
 
     def test_zero_table(self):
         spec = GroupSpec((2, 2))
-        zero = spec.zero()
+        zero = spec.zero().coords
         assert check_commutativity(StructureConstants(spec, ((zero, zero), (zero, zero))))
 
     def test_matches_full_pair_scan(self):
@@ -233,7 +229,7 @@ def componentwise_constants(spec: GroupSpec) -> StructureConstants:
     return StructureConstants(
         spec,
         tuple(
-            tuple(gens[i] if i == j else spec.zero() for j in range(k))
+            tuple((gens[i] if i == j else spec.zero()).coords for j in range(k))
             for i in range(k)
         ),
     )
@@ -284,15 +280,22 @@ class TestKernelAgainstIteratedAddition:
 class TestWellDefinedness:
     def test_violating_table_rejected(self):
         spec = GroupSpec((2, 4))
-        bad = spec.element((0, 1))  # order 4, every cell bound is gcd <= 2 for row 0
-        good = spec.zero()
+        bad = (0, 1)  # order 4, every cell bound is gcd <= 2 for row 0
+        good = (0, 0)
         with pytest.raises(UsageError):
             StructureConstants(spec, ((bad, good), (good, good)))
 
+    def test_takes_reduced_coordinates(self):
+        # bare residues stand for rank-1 coordinates; entries are reduced
+        assert StructureConstants(GroupSpec((6,)), ((8,),)).table == (((2,),),)
+        assert StructureConstants(GroupSpec((6,)), (((-1,),),)).table == (((5,),),)
+        with pytest.raises(UsageError, match="coordinates per entry"):
+            StructureConstants(GroupSpec((2, 2)), ((1, 0), (0, 1)))
+
     def test_rejection_message_names_cell(self):
         spec = GroupSpec((2, 4))
-        bad = spec.element((0, 1))
-        zero = spec.zero()
+        bad = (0, 1)
+        zero = (0, 0)
         with pytest.raises(UsageError, match=r"\[0\]\[1\]"):
             StructureConstants(spec, ((zero, bad), (zero, zero)))
 
@@ -322,7 +325,9 @@ class TestWellDefinedness:
                 if legal:
                     continue
                 with pytest.raises(UsageError):
-                    StructureConstants(spec, tuple(tuple(r) for r in table))
+                    StructureConstants(
+                        spec, tuple(tuple(e.coords for e in r) for r in table)
+                    )
                 assert self._expansions_disagree(spec, table)
                 tested += 1
         assert tested >= 10
