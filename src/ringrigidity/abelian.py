@@ -126,14 +126,6 @@ class GroupElement:
     def __neg__(self) -> GroupElement:
         return scalar_mul(-1, self)
 
-    def __sub__(self, other: GroupElement) -> GroupElement:
-        return add(self, scalar_mul(-1, other))
-
-    def __rmul__(self, c: int) -> GroupElement:
-        if not isinstance(c, int):
-            return NotImplemented
-        return scalar_mul(c, self)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

@@ -48,9 +48,9 @@ from .matrices import (
 )
 from .scaled import (
     ScaledMult,
-    check_scaled_unitality,
     find_pm1_violation,
     find_unit_windowed,
+    require_pm1_rule,
     scaled_identity_suite,
     scaled_unit_sweep,
     unit_of_scaled,
@@ -143,9 +143,27 @@ def _run_classify(args) -> tuple[dict, dict]:
     return {"modulus": modulus}, payload
 
 
+def _verify_scaled_work(samples: int, bound: int) -> int:
+    """Black-box multiplications of verify-scaled: 12s + 3(2b + 1) at most.
+
+    Each identity sample takes 12 products: 4 for associativity, 6 for
+    two-sided distributivity and 2 for commutativity. The unit scan drops
+    a candidate u with a*u != 1 at its first product, and the unit, if
+    there is one, takes 2 products per window element.
+    """
+    return 12 * samples + 3 * (2 * bound + 1)
+
+
 def _run_verify_scaled(args) -> tuple[dict, dict]:
     a = args.a
-    window = IntegerWindow(args.bound)
+    window = IntegerWindow(args.bound)  # invalid input is a usage error first
+    if args.samples < 0:
+        raise UsageError(f"samples must be >= 0, got {args.samples}")
+    charge(
+        _verify_scaled_work(args.samples, args.bound), _resolve_budget(None),
+        f"multiplications in verify-scaled at bound={args.bound}, "
+        f"samples={args.samples}",
+    )
     suite = scaled_identity_suite(a, args.bound, samples=args.samples)
     scanned = find_unit_windowed(ScaledMult(a), window)
     closed = unit_of_scaled(a)
@@ -213,14 +231,13 @@ def _run_matrix_demo(args) -> tuple[dict, dict]:
 
 
 def _scaled_units_work(modulus: int) -> int:
-    """Ring products of scaled-units on Z/N: 6N^2 + 7N at most.
+    """Ring products of scaled-units on Z/N: 5N^2 + 7N at most.
 
-    Two reciprocal scans of N^2 (this command's and the one inside
-    ``check_scaled_unitality``), N + 1 unit searches of at most 4N each
+    One reciprocal scan of N^2, N + 1 unit searches of at most 4N each
     (the base ring's and one per scale: 2N generator screens, 2N to confirm
     the one candidate that passes) and 3 products per ``scale_ring``.
     """
-    return 2 * modulus**2 + (modulus + 1) * 4 * modulus + 3 * modulus
+    return modulus**2 + (modulus + 1) * 4 * modulus + 3 * modulus
 
 
 def _run_scaled_units(args) -> tuple[dict, dict]:
@@ -232,10 +249,9 @@ def _run_scaled_units(args) -> tuple[dict, dict]:
     )
     ring = usual_cyclic_ring(modulus)
     violation = find_pm1_violation(ring)
+    entries = scaled_unit_sweep(ring)
     if violation is None:
-        entries = check_scaled_unitality(ring)
-    else:
-        entries = scaled_unit_sweep(ring)
+        require_pm1_rule(ring, entries)
     pm_one_scales = sorted({1 % modulus, (modulus - 1) % modulus})
     unital_scales = [
         e.scale.coords[0] for e in entries if e.unit is not None

@@ -178,9 +178,7 @@ def rigidity_report(
             unital += 1
             if spec.is_cyclic:
                 scales.append(ring.mult.table[0][0][0])
-            if len(examples) < 2 and all(
-                ring.mult.table != seen.mult.table for seen in examples
-            ):
+            if len(examples) < 2:
                 examples.append(ring)
         if spec.is_cyclic and not _matches_scaled_form(ring.mult):
             scaled_form_all = False

@@ -11,9 +11,10 @@ On finite base rings: ``scale_ring`` transplants the same construction to
 an arbitrary associative ring with a central scale element, and
 ``check_scaled_unitality`` verifies that the "unital iff scale is plus or
 minus one" pattern holds exactly for base rings whose only reciprocal
-pairs are (1, 1) and (-1, -1). The scaled tables and the reciprocal-pair
-scan run on the base ring's coordinate kernel; scales, units and violation
-pairs stay ``GroupElement``.
+pairs are (1, 1) and (-1, -1); ``require_pm1_rule`` states that rule once.
+Base-ring flags are read as ``RingStructure`` verified them. Scaled tables
+and the reciprocal-pair scan run on the base ring's coordinate kernel, and
+only scales, units and violation pairs are ``GroupElement``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .structures import (
     DistributivityCounterexample,
     RingStructure,
     StructureConstants,
-    check_associativity,
-    check_commutativity,
     check_distributivity_blackbox,
     cyclic_constants,
     find_unit,
@@ -196,12 +195,6 @@ def usual_cyclic_ring(modulus: int) -> RingStructure:
     return RingStructure.from_constants(cyclic_constants(modulus, 1))
 
 
-def _require_associative(ring: RingStructure, op: str) -> None:
-    # cached flags are never trusted bare: recheck before relying on them
-    if not ring.associative or not check_associativity(ring.mult):
-        raise UsageError(f"{op} needs an associative base ring")
-
-
 def scale_ring(ring: RingStructure, a: GroupElement) -> StructureConstants:
     """Structure constants of (x, y) -> a*x*y inside a finite base ring.
 
@@ -210,7 +203,6 @@ def scale_ring(ring: RingStructure, a: GroupElement) -> StructureConstants:
     centrality check runs against the generators (sufficient by
     bilinearity) and names a witness on failure.
     """
-    _require_associative(ring, "scale_ring")
     if a.group != ring.group:
         raise UsageError("scale_ring: scale element belongs to a different group")
     mult = ring.mult
@@ -233,7 +225,6 @@ def find_pm1_violation(
 
     Scans one ``product_row(a)`` at a time; only the pair returned is built.
     """
-    _require_associative(ring, "find_pm1_violation")
     if ring.unit is None:
         raise UsageError("the reciprocal-pair scan needs a unital base ring")
     spec = ring.group
@@ -265,14 +256,27 @@ def scaled_unit_sweep(ring: RingStructure) -> list[ScaledUnitEntry]:
     the reciprocal pairs, so unitality may well appear at scales other
     than plus or minus one (Z/5 with scale 2 is the standard example).
     """
-    _require_associative(ring, "scaled_unit_sweep")
-    if not check_commutativity(ring.mult):
+    if not ring.commutative:
         raise UsageError("scaled_unit_sweep needs a commutative base ring")
     entries = []
     for a in all_elements(ring.group):
         scaled = scale_ring(ring, a)
         entries.append(ScaledUnitEntry(a, find_unit(scaled)))
     return entries
+
+
+def require_pm1_rule(ring: RingStructure, entries: list[ScaledUnitEntry]) -> None:
+    """Raise InvariantViolation unless the sweep is unital exactly at scales +-1."""
+    one = ring.unit
+    minus_one = scalar_mul(-1, one)
+    for entry in entries:
+        expected = entry.scale == one or entry.scale == minus_one
+        if (entry.unit is not None) != expected:
+            raise InvariantViolation(
+                f"scaled ring at scale {entry.scale}: unit "
+                f"{'found' if entry.unit else 'missing'}, expected "
+                f"{'unital' if expected else 'non-unital'}"
+            )
 
 
 def check_scaled_unitality(ring: RingStructure) -> list[ScaledUnitEntry]:
@@ -283,10 +287,7 @@ def check_scaled_unitality(ring: RingStructure) -> list[ScaledUnitEntry]:
     sweep must find units exactly at the scales 1 and -1; any departure is
     an invariant violation, not a result.
     """
-    _require_associative(ring, "check_scaled_unitality")
-    if ring.unit is None:
-        raise UsageError("check_scaled_unitality needs a unital base ring")
-    if not check_commutativity(ring.mult):
+    if not ring.commutative:
         raise UsageError("check_scaled_unitality needs a commutative base ring")
     violation = find_pm1_violation(ring)
     if violation is not None:
@@ -296,15 +297,6 @@ def check_scaled_unitality(ring: RingStructure) -> list[ScaledUnitEntry]:
             f"{a} * {u} = 1 with {a} outside {{1, -1}}; "
             "run scaled_unit_sweep for the diagnostic picture"
         )
-    one = ring.unit
-    minus_one = scalar_mul(-1, one)
     entries = scaled_unit_sweep(ring)
-    for entry in entries:
-        expected = entry.scale == one or entry.scale == minus_one
-        if (entry.unit is not None) != expected:
-            raise InvariantViolation(
-                f"scaled ring at scale {entry.scale}: unit "
-                f"{'found' if entry.unit else 'missing'}, expected "
-                f"{'unital' if expected else 'non-unital'}"
-            )
+    require_pm1_rule(ring, entries)
     return entries

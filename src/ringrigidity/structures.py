@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .abelian import (
@@ -190,23 +190,25 @@ def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
 
 @dataclass(frozen=True)
 class RingStructure:
-    """A multiplication together with its verified classification flags."""
+    """An associative multiplication whose flags are derived, never passed in."""
 
-    group: GroupSpec
     mult: StructureConstants
-    associative: bool
-    commutative: bool
-    unit: Optional[GroupElement]
+    commutative: bool = field(init=False)
+    unit: Optional[GroupElement] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not check_associativity(self.mult):
+            raise UsageError("a ring needs an associative multiplication")
+        object.__setattr__(self, "commutative", check_commutativity(self.mult))
+        object.__setattr__(self, "unit", find_unit(self.mult))
+
+    @property
+    def group(self) -> GroupSpec:
+        return self.mult.group
 
     @classmethod
     def from_constants(cls, constants: StructureConstants) -> RingStructure:
-        return cls(
-            group=constants.group,
-            mult=constants,
-            associative=check_associativity(constants),
-            commutative=check_commutativity(constants),
-            unit=find_unit(constants),
-        )
+        return cls(constants)
 
 
 @dataclass(frozen=True)

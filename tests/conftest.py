@@ -14,6 +14,7 @@ import random
 import pytest
 
 from ringrigidity import GroupElement, GroupSpec, StructureConstants, all_elements
+from ringrigidity import scaled
 
 
 def iterated_add(g: GroupElement, count: int) -> GroupElement:
@@ -152,3 +153,9 @@ def element_count(monkeypatch):
 
     monkeypatch.setattr(GroupElement, "__post_init__", counted)
     return count
+
+
+@pytest.fixture
+def unit_at_every_scale(monkeypatch):
+    """Make every scaled ring report a unit, so scale 0 breaks the +-1 rule."""
+    monkeypatch.setattr(scaled, "find_unit", lambda constants: constants.group.zero())

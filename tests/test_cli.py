@@ -10,7 +10,14 @@ import jsonschema
 import pytest
 
 import ringrigidity
-from ringrigidity import StructureConstants, cli, enumeration, matrices
+from ringrigidity import (
+    ScaledMult,
+    StructureConstants,
+    cli,
+    enumeration,
+    matrices,
+    scaled,
+)
 from ringrigidity.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,10 +214,15 @@ class TestWorkCharges:
     @pytest.mark.parametrize(
         "args,work",
         [
-            (("scaled-units", "--modulus", "12"), 6 * 12**2 + 7 * 12),
+            (("scaled-units", "--modulus", "12"), 5 * 12**2 + 7 * 12),
             (("matrix-demo", "--n", "3", "--mod", "5"), 12014 * 3**3 + 12008 * 3**2),
+            # the queries of perfbench's window workload, at 10_000 samples
+            (("verify-scaled", "--a", "-1", "--bound", "1000"), 126_003),
+            (("verify-scaled", "--a", "3", "--bound", "100000"), 720_003),
         ],
-        ids=["scaled-units", "matrix-demo"],
+        ids=[
+            "scaled-units", "matrix-demo", "verify-scaled-1000", "verify-scaled-100000"
+        ],
     )
     @pytest.mark.parametrize("slack,code", [(0, 0), (-1, 3)], ids=["at", "below"])
     def test_budget_boundary(self, monkeypatch, args, work, slack, code):
@@ -265,6 +277,65 @@ class TestWorkCharges:
         code, _ = run_json("scaled-units", "--modulus", str(modulus))
         assert code == 0
         assert 0 < count[0] <= cli._scaled_units_work(modulus)
+
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 6])
+    def test_scaled_units_scans_once(self, monkeypatch, modulus):
+        calls = [0]
+        original = scaled.find_pm1_violation
+
+        def counted(ring):
+            calls[0] += 1
+            return original(ring)
+
+        monkeypatch.setattr(scaled, "find_pm1_violation", counted)
+        monkeypatch.setattr(cli, "find_pm1_violation", counted)
+        code, doc = run_json("scaled-units", "--modulus", str(modulus))
+        assert code == 0
+        assert doc["payload"]["pm1_only_units"]
+        assert calls[0] == 1
+
+    def test_scaled_units_unit_at_wrong_scale_is_five(self, unit_at_every_scale):
+        code, doc = run_json("scaled-units", "--modulus", "6")
+        assert code == 5
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["status"] == "error"
+        assert "scale" in doc["payload"]["message"]
+
+    @pytest.mark.parametrize(
+        "window",
+        [("--bound", "1000000000"), ("--bound", "10", "--samples", "1000000000")],
+        ids=["bound", "samples"],
+    )
+    def test_verify_scaled_refused_up_front(self, window):
+        start = time.perf_counter()
+        code, doc = run_json("verify-scaled", "--a", "1", *window)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        jsonschema.validate(doc, SCHEMA)
+
+    @pytest.mark.parametrize("bound", [1, 5, 100])
+    @pytest.mark.parametrize("a", [-3, -1, 0, 1, 2, 7])
+    def test_verify_scaled_charge_bounds_multiplications(self, monkeypatch, a, bound):
+        # 12 per identity sample exactly; the unit scan within 3(2b + 1)
+        count = [0]
+        call = ScaledMult.__call__
+
+        def counted(self, n, m):
+            count[0] += 1
+            return call(self, n, m)
+
+        monkeypatch.setattr(ScaledMult, "__call__", counted)
+        counts = []
+        for samples in (0, 7):
+            count[0] = 0
+            code, _ = run_json(
+                "verify-scaled", "--a", str(a), "--bound", str(bound),
+                "--samples", str(samples),
+            )
+            assert code == 0
+            assert 0 < count[0] <= cli._verify_scaled_work(samples, bound)
+            counts.append(count[0])
+        assert counts[1] - counts[0] == 12 * 7
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matrix_demo_charge_bounds_multiply_adds(self, monkeypatch, n):

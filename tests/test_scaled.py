@@ -253,23 +253,6 @@ class TestScaleRing:
                     tripped = True
         assert tripped
 
-    def test_non_associative_base_rejected(self):
-        spec = GroupSpec((2, 2))
-        candidates = [
-            ring
-            for ring in enumerate_multiplications(spec, SearchConfig())
-            if ring.commutative
-        ]
-        fake = RingStructure(
-            group=spec,
-            mult=candidates[0].mult,
-            associative=False,
-            commutative=True,
-            unit=None,
-        )
-        with pytest.raises(UsageError):
-            scale_ring(fake, spec.zero())
-
 
 class TestPm1UnitProperty:
     @pytest.mark.parametrize("modulus,expected", [
@@ -369,21 +352,18 @@ class TestScaledUnitality:
 
 
 class TestInvariantGuard:
-    def test_violation_raised_if_flags_lie(self):
-        # hand-build a ring whose commutative flag is wrong and confirm the
-        # checked path refuses to treat it as a valid base
+    def test_non_commutative_base_refused(self):
         spec = GroupSpec((2, 2))
-        asym = None
-        for ring in enumerate_multiplications(spec, SearchConfig()):
-            if not ring.commutative:
-                asym = ring
-                break
-        lying = RingStructure(
-            group=spec,
-            mult=asym.mult,
-            associative=True,
-            commutative=True,
-            unit=asym.unit,
+        ring = next(
+            r for r in enumerate_multiplications(spec, SearchConfig())
+            if not r.commutative
         )
-        with pytest.raises((UsageError, InvariantViolation)):
-            check_scaled_unitality(lying)
+        for check in (check_scaled_unitality, scaled_unit_sweep):
+            with pytest.raises(UsageError, match="commutative"):
+                check(ring)
+
+    def test_violation_raised_on_unit_at_wrong_scale(self, unit_at_every_scale):
+        # Z/6 meets the hypothesis, so a unit at scale 0 contradicts the
+        # theorem and must not come back as a result
+        with pytest.raises(InvariantViolation, match="scale"):
+            check_scaled_unitality(usual_cyclic_ring(6))

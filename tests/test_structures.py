@@ -351,13 +351,35 @@ class TestWellDefinedness:
 class TestRingStructure:
     def test_flags_recomputed(self):
         ring = RingStructure.from_constants(klein_field_constants())
-        assert ring.associative
+        assert check_associativity(ring.mult)
         assert ring.commutative
         assert ring.unit == ring.group.element((1, 0))
 
     def test_flags_for_zero_scale(self):
         ring = RingStructure.from_constants(cyclic_constants(5, 0))
-        assert ring.associative and ring.commutative and ring.unit is None
+        assert check_associativity(ring.mult)
+        assert ring.commutative and ring.unit is None
+
+    def test_non_associative_table_refused(self):
+        # e_0 e_0 = e_1 and e_1 e_1 = e_0: (e_0 e_0) e_1 = e_0 but
+        # e_0 (e_0 e_1) = 0
+        constants = StructureConstants(
+            GroupSpec((2, 2)), (((0, 1), (0, 0)), ((0, 0), (1, 0)))
+        )
+        mult = full_mult_table(constants)
+        elements = list(all_elements(constants.group))
+        assert any(
+            mult[(mult[(a, b)], c)] != mult[(a, mult[(b, c)])]
+            for a in elements
+            for b in elements
+            for c in elements
+        )
+        with pytest.raises(UsageError, match="associative"):
+            RingStructure(constants)
+
+    def test_flags_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            RingStructure(mult=cyclic_constants(4, 1), commutative=True)
 
 
 class TestBlackboxDistributivity:
