@@ -50,6 +50,7 @@ from .scaled import (
     ScaledMult,
     find_pm1_violation,
     find_unit_windowed,
+    pm1_scales,
     require_pm1_rule,
     scaled_identity_suite,
     scaled_unit_sweep,
@@ -68,18 +69,18 @@ _EXIT_CODES = {
 }
 
 
-def _resolve_budget(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
+def _budget() -> int:
+    """The work budget: $RIGIDITY_BUDGET, a positive integer, or the default."""
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0  # refused below, with the same message
+    if budget < 1:
+        raise UsageError(f"{BUDGET_ENV_VAR} must be a positive integer, got {env!r}")
+    return budget
 
 
 def _group_json(spec: GroupSpec) -> dict:
@@ -92,9 +93,7 @@ def _group_json(spec: GroupSpec) -> dict:
 
 def _run_enumerate(args) -> tuple[dict, dict]:
     spec = GroupSpec.parse(args.group)
-    config = SearchConfig(
-        workers=args.workers, budget=_resolve_budget(args.budget)
-    )
+    config = SearchConfig(workers=args.workers, budget=_budget())
     report = rigidity_report(spec, config)
     payload = {
         "group": _group_json(spec),
@@ -119,7 +118,7 @@ def _run_enumerate(args) -> tuple[dict, dict]:
 
 def _run_classify(args) -> tuple[dict, dict]:
     modulus = args.modulus
-    config = SearchConfig(budget=_resolve_budget(None))
+    config = SearchConfig(budget=_budget())
     entries = classify_cyclic(modulus, config)
     payload = {
         "modulus": modulus,
@@ -160,7 +159,7 @@ def _run_verify_scaled(args) -> tuple[dict, dict]:
     if args.samples < 0:
         raise UsageError(f"samples must be >= 0, got {args.samples}")
     charge(
-        _verify_scaled_work(args.samples, args.bound), _resolve_budget(None),
+        _verify_scaled_work(args.samples, args.bound), _budget(),
         f"multiplications in verify-scaled at bound={args.bound}, "
         f"samples={args.samples}",
     )
@@ -199,7 +198,7 @@ def _run_matrix_demo(args) -> tuple[dict, dict]:
     n, modulus = args.n, args.mod
     MatrixElement(modulus, ((0,),))  # an invalid modulus is a usage error first
     charge(
-        _matrix_demo_work(n), _resolve_budget(None),
+        _matrix_demo_work(n), _budget(),
         f"scalar multiply-adds in matrix-demo at n={n}",
     )
     units = {
@@ -244,7 +243,7 @@ def _run_scaled_units(args) -> tuple[dict, dict]:
     modulus = args.modulus
     GroupSpec((modulus,))  # an invalid modulus is a usage error first
     charge(
-        _scaled_units_work(modulus), _resolve_budget(None),
+        _scaled_units_work(modulus), _budget(),
         f"ring products in scaled-units on Z/{modulus}",
     )
     ring = usual_cyclic_ring(modulus)
@@ -252,7 +251,7 @@ def _run_scaled_units(args) -> tuple[dict, dict]:
     entries = scaled_unit_sweep(ring)
     if violation is None:
         require_pm1_rule(ring, entries)
-    pm_one_scales = sorted({1 % modulus, (modulus - 1) % modulus})
+    pm_one_scales = sorted(s.coords[0] for s in pm1_scales(ring))
     unital_scales = [
         e.scale.coords[0] for e in entries if e.unit is not None
     ]
@@ -318,9 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="census of ring multiplications on a group")
     p.add_argument("--group", required=True, help="comma-separated moduli, e.g. 2,2,3")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"candidate budget (default {DEFAULT_BUDGET}, "
-                        f"or ${BUDGET_ENV_VAR})")
     common(p)
 
     p = sub.add_parser("classify", help="per-scale classification on Z/N")

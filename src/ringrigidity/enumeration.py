@@ -14,9 +14,10 @@ same parts, so both emit in the same order; a pool never has more
 processes than parts or CPUs. Workers return rings whose tables are
 plain coordinate tuples; element objects appear only for the units found.
 
-On Z/N every ring is checked against the closed form n*m = scale*n*m. The
-check streams ``StructureConstants.product_row`` one row at a time, so it
-makes no element objects and holds O(N) products, not the N x N table.
+On Z/N both ``rigidity_report`` and ``classify_cyclic`` read one checked
+stream: each ring's ``product_row``s are compared with the closed form
+n*m = scale*n*m one row at a time, so the check makes no element objects
+and holds O(N) products, and a mismatch raises.
 
 ``charge`` is the one budget gate: the census charges its candidate count,
 a Z/N census also the N rings x N^2 products of that check, and the CLI
@@ -135,42 +136,48 @@ class RigidityReport:
     commutative_count: int
     unital_count: int
     unital_scales: Optional[tuple[int, ...]]  # single-factor groups only
-    scaled_form_all: Optional[bool]  # single-factor groups only
     unital_examples: tuple[RingStructure, ...]
     search_space: int
 
+    @property
+    def scaled_form_all(self) -> Optional[bool]:
+        """True on Z/N, whose every ring passed the scaled-form check; else None."""
+        return True if self.group.is_cyclic else None
 
-def _matches_scaled_form(constants: StructureConstants) -> bool:
-    """Whether a cyclic multiplication is scale*n*m for its own scale mul(1, 1).
 
-    Compares the evaluator's rows with the closed form one row at a time
-    and stops at the first mismatch.
+def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[RingStructure]:
+    """The census of Z/N, each ring checked against scale*n*m, scale = mul(1, 1).
+
+    A mismatch contradicts what the enumeration guarantees, so it raises
+    rather than reports.
     """
-    modulus = constants.group.moduli[0]
-    scale = constants.table[0][0][0]
-    return all(
-        constants.product_row((n,))
-        == [(scale * n * m % modulus,) for m in range(modulus)]
-        for n in range(modulus)
-    )
+    n = spec.moduli[0]
+    charge(n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)")
+    for ring in enumerate_multiplications(spec, config):
+        scale = ring.mult.table[0][0][0]
+        for x in range(n):
+            if ring.mult.product_row((x,)) != [(scale * x * m % n,) for m in range(n)]:
+                raise InvariantViolation(
+                    f"multiplication on Z/{n} is not the scaled form of its "
+                    f"own mul(1,1) = {scale}"
+                )
+        yield ring
 
 
 def rigidity_report(
     spec: GroupSpec, config: SearchConfig = SearchConfig()
 ) -> RigidityReport:
-    """Aggregate the enumeration stream into the census counts."""
+    """Aggregate the enumeration stream into the census counts.
+
+    On Z/N it reads the checked stream, so a mismatch raises.
+    """
     total = 0
     commutative = 0
     unital = 0
     scales: list[int] = []
-    scaled_form_all: Optional[bool] = True if spec.is_cyclic else None
     examples: list[RingStructure] = []
-    if spec.is_cyclic:
-        n = spec.moduli[0]
-        charge(
-            n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)"
-        )
-    for ring in enumerate_multiplications(spec, config):
+    stream = _cyclic_rings if spec.is_cyclic else enumerate_multiplications
+    for ring in stream(spec, config):
         total += 1
         if ring.commutative:
             commutative += 1
@@ -180,15 +187,12 @@ def rigidity_report(
                 scales.append(ring.mult.table[0][0][0])
             if len(examples) < 2:
                 examples.append(ring)
-        if spec.is_cyclic and not _matches_scaled_form(ring.mult):
-            scaled_form_all = False
     return RigidityReport(
         group=spec,
         total=total,
         commutative_count=commutative,
         unital_count=unital,
         unital_scales=tuple(sorted(scales)) if spec.is_cyclic else None,
-        scaled_form_all=scaled_form_all,
         unital_examples=tuple(examples),
         search_space=search_space_size(spec),
     )
@@ -207,23 +211,11 @@ def classify_cyclic(
 ) -> list[CyclicClassification]:
     """Classify every multiplication on Z/modulus by its scale mul(1, 1).
 
-    Each candidate is verified exhaustively against scale*n*m over all
-    modulus^2 products; a mismatch would contradict what the enumeration
-    guarantees, so it raises rather than reports.
+    Every ring is checked against scale*n*m first, and a mismatch raises.
     """
-    spec = GroupSpec((modulus,))
-    charge(
-        modulus**3, config.budget,
-        f"scaled-form products on Z/{modulus} ({modulus} rings x {modulus}^2)",
-    )
     out = []
-    for ring in enumerate_multiplications(spec, config):
+    for ring in _cyclic_rings(GroupSpec((modulus,)), config):
         scale = ring.mult.table[0][0][0]
-        if not _matches_scaled_form(ring.mult):
-            raise InvariantViolation(
-                f"multiplication on Z/{modulus} is not the scaled form of its "
-                f"own mul(1,1) = {scale}"
-            )
         unit = ring.unit
         out.append(
             CyclicClassification(

@@ -11,7 +11,8 @@ On finite base rings: ``scale_ring`` transplants the same construction to
 an arbitrary associative ring with a central scale element, and
 ``check_scaled_unitality`` verifies that the "unital iff scale is plus or
 minus one" pattern holds exactly for base rings whose only reciprocal
-pairs are (1, 1) and (-1, -1); ``require_pm1_rule`` states that rule once.
+pairs are (1, 1) and (-1, -1). ``pm1_scales`` names the two scales, and
+``require_pm1_rule`` states the rule once.
 Base-ring flags are read as ``RingStructure`` verified them. Scaled tables
 and the reciprocal-pair scan run on the base ring's coordinate kernel, and
 only scales, units and violation pairs are ``GroupElement``.
@@ -30,7 +31,6 @@ from .abelian import (
     all_coords,
     all_elements,
     checked,
-    scalar_mul,
 )
 from .errors import IntegerOverflowError, InvariantViolation, UsageError
 from .structures import (
@@ -218,6 +218,11 @@ def scale_ring(ring: RingStructure, a: GroupElement) -> StructureConstants:
     return StructureConstants(ring.group, table)
 
 
+def pm1_scales(ring: RingStructure) -> set[GroupElement]:
+    """The scales 1 and -1 of a unital ring, where the +-1 rule expects units."""
+    return {ring.unit, -ring.unit}
+
+
 def find_pm1_violation(
     ring: RingStructure,
 ) -> Optional[tuple[GroupElement, GroupElement]]:
@@ -267,10 +272,9 @@ def scaled_unit_sweep(ring: RingStructure) -> list[ScaledUnitEntry]:
 
 def require_pm1_rule(ring: RingStructure, entries: list[ScaledUnitEntry]) -> None:
     """Raise InvariantViolation unless the sweep is unital exactly at scales +-1."""
-    one = ring.unit
-    minus_one = scalar_mul(-1, one)
+    scales = pm1_scales(ring)
     for entry in entries:
-        expected = entry.scale == one or entry.scale == minus_one
+        expected = entry.scale in scales
         if (entry.unit is not None) != expected:
             raise InvariantViolation(
                 f"scaled ring at scale {entry.scale}: unit "

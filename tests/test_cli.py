@@ -87,6 +87,13 @@ class TestSchema:
         assert doc["status"] == "ok"
         jsonschema.validate(doc, SCHEMA)
 
+    def test_scaled_form_all_false_is_invalid(self):
+        # an ok payload has passed the scaled-form check, so false never appears
+        _, doc = run_json("enumerate", "--group", "6")
+        doc["payload"]["scaled_form_all"] = False
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, SCHEMA)
+
     def test_integers_only(self):
         def assert_no_floats(node):
             if isinstance(node, float):
@@ -131,8 +138,9 @@ class TestExitCodes:
             run(["classify"])  # missing --modulus
         assert exc.value.code == 2
 
-    def test_capacity_is_three(self):
-        code, doc = run_json("enumerate", "--group", "2,2", "--budget", "10")
+    def test_capacity_is_three(self, monkeypatch):
+        monkeypatch.setenv("RIGIDITY_BUDGET", "10")
+        code, doc = run_json("enumerate", "--group", "2,2")
         assert code == 3
         assert "256" in doc["payload"]["message"]
 
@@ -149,6 +157,16 @@ class TestExitCodes:
         # Z/12: 12 rings x 12^2 products = 1728 checked cells
         monkeypatch.setenv("RIGIDITY_BUDGET", budget)
         got, doc = run_json("classify", "--modulus", "12")
+        assert got == code
+        jsonschema.validate(doc, SCHEMA)
+        if code:
+            assert "1728" in doc["payload"]["message"]
+            assert "1727" in doc["payload"]["message"]
+
+    @pytest.mark.parametrize("budget,code", [("1728", 0), ("1727", 3)])
+    def test_enumerate_charges_scaled_form_check(self, monkeypatch, budget, code):
+        monkeypatch.setenv("RIGIDITY_BUDGET", budget)
+        got, doc = run_json("enumerate", "--group", "12")
         assert got == code
         jsonschema.validate(doc, SCHEMA)
         if code:
@@ -194,6 +212,13 @@ class TestExitCodes:
 
     def test_invariant_violation_is_five(self, shifted_product):
         code, doc = run_json("classify", "--modulus", "6")
+        assert code == 5
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["status"] == "error"
+        assert "not the scaled form" in doc["payload"]["message"]
+
+    def test_enumerate_invariant_violation_is_five(self, shifted_product):
+        code, doc = run_json("enumerate", "--group", "6")
         assert code == 5
         jsonschema.validate(doc, SCHEMA)
         assert doc["status"] == "error"
@@ -365,15 +390,34 @@ class TestBudgetEnv:
         code, _ = run_json("enumerate", "--group", "2,2")
         assert code == 3
 
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_BUDGET", "10")
-        code, _ = run_json("enumerate", "--group", "2,2", "--budget", "100000")
-        assert code == 0
+    def test_budget_flag_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["enumerate", "--group", "2,2", "--budget", "100000"])
+        assert exc.value.code == 2
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("RIGIDITY_BUDGET", "lots")
         code, doc = run_json("enumerate", "--group", "2,2")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1", "lots"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("enumerate", "--group", "2,2"),
+            ("classify", "--modulus", "6"),
+            ("verify-scaled", "--a", "1", "--bound", "10"),
+            ("scaled-units", "--modulus", "6"),
+            ("matrix-demo", "--n", "2", "--mod", "7"),
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_invalid_budget_is_two_everywhere(self, monkeypatch, args, value):
+        monkeypatch.setenv("RIGIDITY_BUDGET", value)
+        code, doc = run_json(*args)
+        assert code == 2
+        jsonschema.validate(doc, SCHEMA)
+        assert "RIGIDITY_BUDGET" in doc["payload"]["message"]
 
 
 class TestWorkers:

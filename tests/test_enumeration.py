@@ -81,8 +81,9 @@ class TestScaledFormViolation:
         with pytest.raises(InvariantViolation, match=r"mul\(1,1\) = 1"):
             classify_cyclic(6)
 
-    def test_report_flags_it(self, shifted_product):
-        assert rigidity_report(GroupSpec((6,))).scaled_form_all is False
+    def test_report_raises(self, shifted_product):
+        with pytest.raises(InvariantViolation, match=r"mul\(1,1\) = 1"):
+            rigidity_report(GroupSpec((6,)))
 
 
 class TestUnitalityCensus:
