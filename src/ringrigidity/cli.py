@@ -27,9 +27,9 @@ from .enumeration import (
     SearchConfig,
     charge,
     classify_cyclic,
+    expand_to_full_table,
     full_table_oracle,
     rigidity_report,
-    scaled_full_table,
 )
 from .errors import (
     CapacityError,
@@ -57,6 +57,7 @@ from .scaled import (
     unit_of_scaled,
     usual_cyclic_ring,
 )
+from .structures import cyclic_constants
 
 BUDGET_ENV_VAR = "RIGIDITY_BUDGET"
 
@@ -116,27 +117,30 @@ def _run_enumerate(args) -> tuple[dict, dict]:
     return {"group": args.group}, payload
 
 
+def _scale_rows(modulus: int, pairs) -> tuple[list[dict], list[int]]:
+    """Rows of Z/modulus from (scale, unit or None) pairs, and the unital scales."""
+    rows = [
+        dict(scale=s, unital=u is not None, unit=u, is_minus_one=s == modulus - 1)
+        for s, u in pairs
+    ]
+    return rows, [row["scale"] for row in rows if row["unital"]]
+
+
 def _run_classify(args) -> tuple[dict, dict]:
     modulus = args.modulus
     config = SearchConfig(budget=_budget())
     entries = classify_cyclic(modulus, config)
+    rows, unital_scales = _scale_rows(modulus, ((e.scale, e.unit) for e in entries))
     payload = {
         "modulus": modulus,
-        "candidates": [
-            {
-                "scale": e.scale,
-                "unital": e.unital,
-                "unit": e.unit,
-                "is_minus_one": e.is_minus_one,
-            }
-            for e in entries
-        ],
-        "unital_scales": [e.scale for e in entries if e.unital],
+        "candidates": rows,
+        "unital_scales": unital_scales,
     }
     if modulus <= FULL_TABLE_CAP:
-        # classify_cyclic has matched each ring's expansion against exactly
-        # these closed-form tables, so the raw oracle still meets the census
-        classified = frozenset(scaled_full_table(modulus, e.scale) for e in entries)
+        # the raw oracle meets the kernel's own expansion of each census table
+        classified = frozenset(
+            expand_to_full_table(cyclic_constants(modulus, e.scale)) for e in entries
+        )
         oracle = full_table_oracle(modulus)
         payload["oracle"] = "agree" if oracle == classified else "disagree"
     return {"modulus": modulus}, payload
@@ -251,10 +255,11 @@ def _run_scaled_units(args) -> tuple[dict, dict]:
     entries = scaled_unit_sweep(ring)
     if violation is None:
         require_pm1_rule(ring, entries)
-    pm_one_scales = sorted(s.coords[0] for s in pm1_scales(ring))
-    unital_scales = [
-        e.scale.coords[0] for e in entries if e.unit is not None
-    ]
+    pm_one_scales = sorted(c for (c,) in pm1_scales(ring))
+    rows, unital_scales = _scale_rows(modulus, (
+        (e.scale.coords[0], None if e.unit is None else e.unit.coords[0])
+        for e in entries
+    ))
     payload = {
         "modulus": modulus,
         "pm1_only_units": violation is None,
@@ -264,15 +269,7 @@ def _run_scaled_units(args) -> tuple[dict, dict]:
             else {"a": violation[0].coords[0], "u": violation[1].coords[0]}
         ),
         "pm_one_scales": pm_one_scales,
-        "entries": [
-            {
-                "scale": e.scale.coords[0],
-                "unital": e.unit is not None,
-                "unit": e.unit.coords[0] if e.unit is not None else None,
-                "is_minus_one": e.scale.coords[0] == modulus - 1,
-            }
-            for e in entries
-        ],
+        "entries": rows,
         "unital_scales": unital_scales,
         "departures": sorted(set(unital_scales) - set(pm_one_scales)),
         "matches_pm1_rule": unital_scales == pm_one_scales,

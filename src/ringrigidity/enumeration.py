@@ -283,11 +283,3 @@ def expand_to_full_table(constants: StructureConstants) -> FullTable:
         tuple(c for (c,) in constants.product_row((n,)))
         for n in range(constants.group.moduli[0])
     )
-
-
-def scaled_full_table(modulus: int, scale: int) -> FullTable:
-    """The closed-form Cayley table of n*m = scale*n*m on Z/modulus."""
-    return tuple(
-        tuple(scale * n * m % modulus for m in range(modulus))
-        for n in range(modulus)
-    )

@@ -94,6 +94,15 @@ def mat_mul_hadamard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     )
 
 
+def _product(mode: str):
+    """The product of a mode, read from the module globals so a rebinding is seen."""
+    if mode == STANDARD:
+        return mat_mul_standard
+    if mode == HADAMARD:
+        return mat_mul_hadamard
+    raise UsageError(f"unknown multiplication mode {mode!r}")
+
+
 def zero_matrix(n: int, modulus: int) -> MatrixElement:
     return MatrixElement(modulus, tuple((0,) * n for _ in range(n)))
 
@@ -107,17 +116,12 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
     """
     if n < 1:
         raise UsageError(f"matrix dimension must be >= 1, got {n}")
+    product = _product(mode)
     if mode == STANDARD:
-        unit = MatrixElement(
-            modulus,
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        )
-        product = mat_mul_standard
-    elif mode == HADAMARD:
-        unit = MatrixElement(modulus, tuple((1,) * n for _ in range(n)))
-        product = mat_mul_hadamard
+        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     else:
-        raise UsageError(f"unknown multiplication mode {mode!r}")
+        rows = tuple((1,) * n for _ in range(n))
+    unit = MatrixElement(modulus, rows)
 
     rng = random.Random(31 * n + modulus)
     for _ in range(4):
@@ -176,7 +180,7 @@ def sample_axioms(
     pairs; for the standard product the stored witness is consulted too,
     so the commutativity verdict at n >= 2 never depends on sampling luck.
     """
-    product = mat_mul_standard if mode == STANDARD else mat_mul_hadamard
+    product = _product(mode)
     rng = random.Random(seed)
     associative = True
     distributive = True

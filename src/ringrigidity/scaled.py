@@ -11,8 +11,8 @@ On finite base rings: ``scale_ring`` transplants the same construction to
 an arbitrary associative ring with a central scale element, and
 ``check_scaled_unitality`` verifies that the "unital iff scale is plus or
 minus one" pattern holds exactly for base rings whose only reciprocal
-pairs are (1, 1) and (-1, -1). ``pm1_scales`` names the two scales, and
-``require_pm1_rule`` states the rule once.
+pairs are (1, 1) and (-1, -1). ``pm1_scales`` names the coordinates of
+the two scales, and ``require_pm1_rule`` states the rule once.
 Base-ring flags are read as ``RingStructure`` verified them. Scaled tables
 and the reciprocal-pair scan run on the base ring's coordinate kernel, and
 only scales, units and violation pairs are ``GroupElement``.
@@ -133,13 +133,15 @@ def scaled_identity_suite(
     a: int, bound: int, samples: int = 10_000, seed: int = 0
 ) -> IdentitySuiteReport:
     """Run the ring-identity checks for one scale on random window triples."""
+    IntegerWindow(bound)  # a bound below 1 is a usage error
     if samples < 0:
         raise UsageError(f"samples must be >= 0, got {samples}")
     rng = random.Random(seed)
+    half = bound // 2  # m + k stays in the window
     for _ in range(samples):
         n = rng.randint(-bound, bound)
-        m = rng.randint(-bound // 2, bound // 2)
-        k = rng.randint(-bound // 2, bound // 2)
+        m = rng.randint(-half, half)
+        k = rng.randint(-half, half)
         failure = scaled_identity_failure(a, n, m, k)
         if failure is not None:
             return IdentitySuiteReport(a, samples, False, failure)
@@ -218,9 +220,10 @@ def scale_ring(ring: RingStructure, a: GroupElement) -> StructureConstants:
     return StructureConstants(ring.group, table)
 
 
-def pm1_scales(ring: RingStructure) -> set[GroupElement]:
-    """The scales 1 and -1 of a unital ring, where the +-1 rule expects units."""
-    return {ring.unit, -ring.unit}
+def pm1_scales(ring: RingStructure) -> set[tuple[int, ...]]:
+    """Coordinates of 1 and -1 in a unital ring, where the +-1 rule expects units."""
+    one = ring.unit.coords
+    return {one, tuple(-c % n for c, n in zip(one, ring.group.moduli))}
 
 
 def find_pm1_violation(
@@ -234,8 +237,7 @@ def find_pm1_violation(
         raise UsageError("the reciprocal-pair scan needs a unital base ring")
     spec = ring.group
     one = ring.unit.coords
-    minus_one = tuple(-c % n for c, n in zip(one, spec.moduli))
-    trivial = {(one, one), (minus_one, minus_one)}
+    trivial = {(s, s) for s in pm1_scales(ring)}
     for a in all_coords(spec):
         for u, product in zip(all_coords(spec), ring.mult.product_row(a)):
             if product == one and (a, u) not in trivial:
@@ -274,7 +276,7 @@ def require_pm1_rule(ring: RingStructure, entries: list[ScaledUnitEntry]) -> Non
     """Raise InvariantViolation unless the sweep is unital exactly at scales +-1."""
     scales = pm1_scales(ring)
     for entry in entries:
-        expected = entry.scale in scales
+        expected = entry.scale.coords in scales
         if (entry.unit is not None) != expected:
             raise InvariantViolation(
                 f"scaled ring at scale {entry.scale}: unit "

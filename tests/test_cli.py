@@ -505,6 +505,31 @@ class TestOutputsMatchSpecExamples:
         assert payload["pm_one_scales"] == [1]
 
 
+class TestScaleRows:
+    @pytest.mark.parametrize("modulus", range(2, 31))
+    def test_classify_matches_scaled_units(self, modulus):
+        # the census path and the scale_ring path answer each scale alike
+        _, census = run_json("classify", "--modulus", str(modulus))
+        _, scaled_rings = run_json("scaled-units", "--modulus", str(modulus))
+        assert census["payload"]["candidates"] == scaled_rings["payload"]["entries"]
+        assert (
+            census["payload"]["unital_scales"]
+            == scaled_rings["payload"]["unital_scales"]
+        )
+
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_oracle_missing_a_table_disagrees(self, monkeypatch, modulus):
+        original = enumeration.full_table_oracle
+
+        def short(n):
+            return frozenset(sorted(original(n))[1:])
+
+        monkeypatch.setattr(cli, "full_table_oracle", short)
+        code, doc = run_json("classify", "--modulus", str(modulus))
+        assert code == 0
+        assert doc["payload"]["oracle"] == "disagree"
+
+
 class TestTextMode:
     def test_text_renders(self):
         code, text = run_cli("classify", "--modulus", "3", "--text", "--no-timing")

@@ -181,3 +181,7 @@ class TestTwoRingStructures:
         assert not standard["commutative"]
         assert hadamard["associative"] and hadamard["distributive"]
         assert hadamard["commutative"]
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(UsageError, match="unknown multiplication mode"):
+            sample_axioms("bogus", 2, 7)

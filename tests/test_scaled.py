@@ -25,7 +25,8 @@ from ringrigidity import (
     usual_cyclic_ring,
     verify_scaled_form,
 )
-from ringrigidity.scaled import scaled_identity_failure, scaled_identity_suite
+from ringrigidity import scaled
+from ringrigidity.scaled import pm1_scales, scaled_identity_failure, scaled_identity_suite
 
 from conftest import pm1_violation_by_eval
 from test_structures import componentwise_constants, klein_field_constants
@@ -134,6 +135,24 @@ class TestScaledIdentities:
         with pytest.raises(UsageError, match="samples"):
             scaled_identity_suite(1, 10, samples=-1)
         assert scaled_identity_suite(1, 10, samples=0).ok
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_suite_runner_rejects_empty_window(self, bound):
+        with pytest.raises(UsageError, match="bound"):
+            scaled_identity_suite(1, bound, samples=10)
+
+    def test_suite_runner_draws_m_and_k_from_half_the_window(self, monkeypatch):
+        draws = []
+
+        def record(a, n, m, k):
+            draws.append((n, m, k))
+            return None
+
+        monkeypatch.setattr(scaled, "scaled_identity_failure", record)
+        assert scaled_identity_suite(1, 5, samples=500).ok
+        assert len(draws) == 500
+        assert all(abs(n) <= 5 and abs(m) <= 2 and abs(k) <= 2 for n, m, k in draws)
+        assert {m for _, m, _ in draws} == {-2, -1, 0, 1, 2}
 
 
 class TestVerifyScaledForm:
@@ -300,6 +319,23 @@ class TestPm1UnitProperty:
         assert zero_ring.unit is None
         with pytest.raises(UsageError):
             has_pm1_unit_property(zero_ring)
+
+
+class TestPm1Scales:
+    @pytest.mark.parametrize(
+        "ring,expected",
+        [
+            (usual_cyclic_ring(2), {(1,)}),
+            (usual_cyclic_ring(12), {(1,), (11,)}),
+            (
+                RingStructure.from_constants(componentwise_constants(GroupSpec((2, 4)))),
+                {(1, 1), (1, 3)},
+            ),
+        ],
+        ids=["Z2", "Z12", "componentwise_2_4"],
+    )
+    def test_coordinates_of_plus_and_minus_one(self, ring, expected):
+        assert pm1_scales(ring) == expected
 
 
 class TestScaledUnitality:
