@@ -6,8 +6,9 @@ specs: no Smith-normal-form canonicalization is performed, which keeps the
 element representation transparent.
 
 The module also provides ``IntegerWindow``, a bounded symmetric slice of
-the integers used to machine-check statements about (Z, +) at desk scale,
-together with capacity-checked integer arithmetic. All arithmetic is exact;
+the integers used to machine-check statements about (Z, +) at desk scale
+(its ``random_triples`` feeds every sampled window check), together with
+capacity-checked integer arithmetic. All arithmetic is exact;
 a value that leaves the fixed-width representation range raises
 ``IntegerOverflowError`` instead of wrapping around.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -36,10 +38,6 @@ def checked(value: int, context: str = "") -> int:
             f"integer {value} exceeds the checked capacity {INT_CAPACITY}{where}"
         )
     return value
-
-
-def checked_add(x: int, y: int, context: str = "") -> int:
-    return checked(x + y, context)
 
 
 @dataclass(frozen=True)
@@ -200,3 +198,9 @@ class IntegerWindow:
 
     def __len__(self) -> int:
         return 2 * self.bound + 1
+
+    def random_triples(self, count: int, seed: int) -> Iterator[tuple[int, int, int]]:
+        """Seeded (n, m, k): n in the window, m and k in its half, so m + k too."""
+        rng, b, h = random.Random(seed), self.bound, self.bound // 2
+        for _ in range(count):
+            yield rng.randint(-b, b), rng.randint(-h, h), rng.randint(-h, h)

@@ -38,8 +38,10 @@ from .errors import (
     UsageError,
 )
 from .matrices import (
+    AXIOM_TRIPLES,
     HADAMARD,
     STANDARD,
+    UNIT_CHECKS,
     MatrixElement,
     mat_mul_standard,
     noncommutativity_witness,
@@ -47,6 +49,7 @@ from .matrices import (
     unit_matrix,
 )
 from .scaled import (
+    IDENTITY_SAMPLES,
     ScaledMult,
     find_pm1_violation,
     find_unit_windowed,
@@ -167,7 +170,7 @@ def _run_verify_scaled(args) -> tuple[dict, dict]:
         f"multiplications in verify-scaled at bound={args.bound}, "
         f"samples={args.samples}",
     )
-    suite = scaled_identity_suite(a, args.bound, samples=args.samples)
+    suite = scaled_identity_suite(a, args.bound, args.samples)
     scanned = find_unit_windowed(ScaledMult(a), window)
     closed = unit_of_scaled(a)
     note = {1: "usual ring", -1: "alternate ring"}.get(a)
@@ -191,11 +194,12 @@ def _matrix_demo_work(n: int) -> int:
     """Scalar multiply-adds of matrix-demo: 12014*n^3 + 12008*n^2 at most.
 
     A standard product takes n^3 multiply-adds, a Hadamard product n^2.
-    Each mode samples 1000 axiom triples of 12 products and checks its unit
-    on 4 samples (8 products); the standard mode also builds the witness
-    twice and multiplies it both ways (6 products).
+    Each mode samples ``AXIOM_TRIPLES`` triples of 12 products and checks
+    its unit on ``UNIT_CHECKS`` samples of 2; the standard mode also builds
+    the witness twice and multiplies it both ways (6 products).
     """
-    return (12 * 1000 + 8 + 6) * n**3 + (12 * 1000 + 8) * n**2
+    per_mode = 12 * AXIOM_TRIPLES + 2 * UNIT_CHECKS
+    return (per_mode + 6) * n**3 + per_mode * n**2
 
 
 def _run_matrix_demo(args) -> tuple[dict, dict]:
@@ -297,13 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument(
-            "--json", dest="as_json", action="store_true", default=True,
-            help="emit the result as JSON (default)",
-        )
-        fmt.add_argument(
-            "--text", dest="as_json", action="store_false",
+        p.add_argument(
+            "--text", action="store_true",
             help="emit a human-readable summary instead of JSON",
         )
         p.add_argument(
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-scaled", help="ring identities and unit of a*n*m")
     p.add_argument("--a", type=int, required=True, help="the scale factor")
     p.add_argument("--bound", type=int, required=True, help="window half-width")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=int, default=IDENTITY_SAMPLES)
     common(p)
 
     p = sub.add_parser("matrix-demo", help="two ring structures on one matrix group")
@@ -367,10 +366,10 @@ def run(argv=None, stdout=None) -> int:
         "payload": payload,
         "elapsed_ms": elapsed_ms,
     }
-    if args.as_json:
-        print(json.dumps(result, indent=2, sort_keys=True), file=out)
-    else:
+    if args.text:
         print(_render_text(result), file=out)
+    else:
+        print(json.dumps(result, indent=2, sort_keys=True), file=out)
     return code
 
 

@@ -21,6 +21,10 @@ from .errors import InvariantViolation, UsageError
 STANDARD = "standard"
 HADAMARD = "hadamard"
 
+# random triples in each mode's axiom summary, and samples in each unit check
+AXIOM_TRIPLES = 1000
+UNIT_CHECKS = 4
+
 
 @dataclass(frozen=True)
 class MatrixElement:
@@ -112,7 +116,7 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
 
     Diagonal-ones for the standard product, all-ones for the Hadamard
     product; the two coincide only at n = 1. The construction self-checks
-    against a few deterministic sample elements.
+    against ``UNIT_CHECKS`` deterministic sample elements.
     """
     if n < 1:
         raise UsageError(f"matrix dimension must be >= 1, got {n}")
@@ -124,7 +128,7 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
     unit = MatrixElement(modulus, rows)
 
     rng = random.Random(31 * n + modulus)
-    for _ in range(4):
+    for _ in range(UNIT_CHECKS):
         sample = random_matrix(rng, n, modulus)
         if product(unit, sample) != sample or product(sample, unit) != sample:
             raise InvariantViolation(
@@ -170,22 +174,21 @@ def noncommutativity_witness(
     return a, b
 
 
-def sample_axioms(
-    mode: str, n: int, modulus: int, triples: int = 1000, seed: int = 7
-) -> dict:
+def sample_axioms(mode: str, n: int, modulus: int) -> dict:
     """Sampled ring-axiom summary for one of the two products.
 
     Checks associativity and two-sided distributivity over entrywise
-    addition on random triples, and commutativity on the corresponding
-    pairs; for the standard product the stored witness is consulted too,
-    so the commutativity verdict at n >= 2 never depends on sampling luck.
+    addition on ``AXIOM_TRIPLES`` random triples (seed 7), and
+    commutativity on the corresponding pairs; for the standard product the
+    stored witness is consulted too, so the commutativity verdict at
+    n >= 2 never depends on sampling luck.
     """
     product = _product(mode)
-    rng = random.Random(seed)
+    rng = random.Random(7)
     associative = True
     distributive = True
     commutative = True
-    for _ in range(triples):
+    for _ in range(AXIOM_TRIPLES):
         a = random_matrix(rng, n, modulus)
         b = random_matrix(rng, n, modulus)
         c = random_matrix(rng, n, modulus)
@@ -200,7 +203,7 @@ def sample_axioms(
     if mode == STANDARD and noncommutativity_witness(n, modulus) is not None:
         commutative = False
     return {
-        "triples": triples,
+        "triples": AXIOM_TRIPLES,
         "associative": associative,
         "distributive": distributive,
         "commutative": commutative,

@@ -3,9 +3,11 @@
 On integers: for a fixed scale a, the operation n * m = a*n*m is a
 commutative ring multiplication compatible with the usual addition, and it
 has a unit exactly when a is 1 (the usual product) or -1 (the negated
-product, here "alternate"). ``verify_scaled_form`` checks the converse
-direction on a bounded window: any distributive black-box multiplication
-coincides there with the scaled family for a = mul(1, 1).
+product, here "alternate"); ``scaled_identity_suite`` samples those
+identities, ``IDENTITY_SAMPLES`` triples unless ``verify-scaled --samples``
+says otherwise. ``verify_scaled_form`` checks the converse direction on a
+bounded window: any distributive black-box multiplication coincides there
+with the scaled family for a = mul(1, 1).
 
 On finite base rings: ``scale_ring`` transplants the same construction to
 an arbitrary associative ring with a central scale element, and
@@ -20,7 +22,6 @@ only scales, units and violation pairs are ``GroupElement``.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +43,9 @@ from .structures import (
     cyclic_constants,
     find_unit,
 )
+
+# random triples per scale in verify-scaled's ring-identity suite
+IDENTITY_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -129,19 +133,12 @@ class IdentitySuiteReport:
     failure: Optional[str]
 
 
-def scaled_identity_suite(
-    a: int, bound: int, samples: int = 10_000, seed: int = 0
-) -> IdentitySuiteReport:
+def scaled_identity_suite(a: int, bound: int, samples: int) -> IdentitySuiteReport:
     """Run the ring-identity checks for one scale on random window triples."""
-    IntegerWindow(bound)  # a bound below 1 is a usage error
+    window = IntegerWindow(bound)  # a bound below 1 is a usage error
     if samples < 0:
         raise UsageError(f"samples must be >= 0, got {samples}")
-    rng = random.Random(seed)
-    half = bound // 2  # m + k stays in the window
-    for _ in range(samples):
-        n = rng.randint(-bound, bound)
-        m = rng.randint(-half, half)
-        k = rng.randint(-half, half)
+    for n, m, k in window.random_triples(samples, seed=0):
         failure = scaled_identity_failure(a, n, m, k)
         if failure is not None:
             return IdentitySuiteReport(a, samples, False, failure)
@@ -163,10 +160,7 @@ class ScaledFormReport:
 
 
 def verify_scaled_form(
-    mul: BlackBoxMul,
-    window: IntegerWindow,
-    samples: int = 512,
-    seed: int = 0,
+    mul: BlackBoxMul, window: IntegerWindow, seed: int = 0
 ) -> ScaledFormReport:
     """Check that mul(n, m) = a*n*m on the whole window, a = mul(1, 1).
 
@@ -174,7 +168,7 @@ def verify_scaled_form(
     rather than classified; otherwise every pair in the window is compared
     against the scaled form and the first violation, if any, is reported.
     """
-    dist = check_distributivity_blackbox(mul, window, samples=samples, seed=seed)
+    dist = check_distributivity_blackbox(mul, window, seed)
     if not dist.ok:
         return ScaledFormReport(False, None, None, dist.counterexample)
     a = extract_scale(mul)

@@ -18,15 +18,16 @@ element-object edge, taking and returning ``GroupElement``. ``find_unit``
 scans coordinate tuples and builds an element only for the unit it returns.
 
 Black-box multiplications on windowed integers are handled separately:
-they are opaque binary functions, probed for distributivity on small
-exhaustive triples plus random samples.
+they are opaque binary functions, probed for distributivity inside the
+window on small exhaustive triples plus ``DISTRIBUTIVITY_SAMPLES`` random
+ones.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,12 +36,15 @@ from .abelian import (
     GroupSpec,
     IntegerWindow,
     all_coords,
-    checked_add,
+    checked,
     element_order,
 )
 from .errors import IntegerOverflowError, UsageError
 
 BlackBoxMul = Callable[[int, int], int]
+
+# random triples in each black-box distributivity probe, after the small ones
+DISTRIBUTIVITY_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -231,9 +235,9 @@ class DistributivityReport:
 def _dist_at(mul: BlackBoxMul, n: int, m: int, k: int):
     try:
         left_whole = mul(n, m + k)
-        left_split = checked_add(mul(n, m), mul(n, k))
+        left_split = checked(mul(n, m) + mul(n, k))
         right_whole = mul(m + k, n)
-        right_split = checked_add(mul(m, n), mul(k, n))
+        right_split = checked(mul(m, n) + mul(k, n))
     except IntegerOverflowError as exc:
         raise IntegerOverflowError(
             f"overflow while checking distributivity at (n={n}, m={m}, k={k}): {exc}"
@@ -246,35 +250,23 @@ def _dist_at(mul: BlackBoxMul, n: int, m: int, k: int):
 
 
 def check_distributivity_blackbox(
-    mul: BlackBoxMul,
-    window: IntegerWindow,
-    samples: int = 512,
-    seed: int = 0,
+    mul: BlackBoxMul, window: IntegerWindow, seed: int = 0
 ) -> DistributivityReport:
     """Probe an opaque integer multiplication for two-sided distributivity.
 
     Runs every triple with |n|, |m|, |k| <= 3 first (so small
-    counterexamples are found deterministically), then `samples` random
-    triples drawn with m, k in the half window so that m + k stays inside
-    the window. Returns the first counterexample, if any.
+    counterexamples are found deterministically), then
+    ``DISTRIBUTIVITY_SAMPLES`` random triples. In both phases n stays in
+    the window and m, k in its half, so m + k stays inside too; the black
+    box is never evaluated outside the window. Returns the first
+    counterexample, if any.
     """
-    checked_count = 0
-    small = min(3, window.bound)
-    for n in range(-small, small + 1):
-        for m in range(-small, small + 1):
-            for k in range(-small, small + 1):
-                checked_count += 1
-                bad = _dist_at(mul, n, m, k)
-                if bad is not None:
-                    return DistributivityReport(False, bad, checked_count)
-
-    rng = random.Random(seed)
-    half = window.bound // 2
-    for _ in range(samples):
-        n = rng.randint(-window.bound, window.bound)
-        m = rng.randint(-half, half)
-        k = rng.randint(-half, half)
-        checked_count += 1
+    small, half = min(3, window.bound), min(3, window.bound // 2)
+    triples = itertools.chain(
+        itertools.product(*(range(-r, r + 1) for r in (small, half, half))),
+        window.random_triples(DISTRIBUTIVITY_SAMPLES, seed),
+    )
+    for checked_count, (n, m, k) in enumerate(triples, 1):
         bad = _dist_at(mul, n, m, k)
         if bad is not None:
             return DistributivityReport(False, bad, checked_count)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -193,6 +194,27 @@ class TestIntegerWindow:
     def test_bound_must_be_positive(self, bad):
         with pytest.raises(UsageError):
             IntegerWindow(bad)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31])
+    @pytest.mark.parametrize("bound", [1, 2, 5, 6, 1000, 10**6])
+    def test_random_triples_repeat_the_inline_draw(self, bound, seed):
+        # the reference draw: n from the window, then m and k from its half,
+        # in that order, so seeded checks keep drawing the same triples
+        rng = random.Random(seed)
+        half = bound // 2
+        expected = []
+        for _ in range(300):
+            n = rng.randint(-bound, bound)
+            m = rng.randint(-half, half)
+            k = rng.randint(-half, half)
+            expected.append((n, m, k))
+        window = IntegerWindow(bound)
+        assert list(window.random_triples(300, seed)) == expected
+        assert all(m + k in window for _, m, k in expected)
+
+    def test_random_triples_count(self):
+        assert list(IntegerWindow(4).random_triples(0, 0)) == []
+        assert len(list(IntegerWindow(4).random_triples(17, 3))) == 17
 
 
 class TestCheckedArithmetic:

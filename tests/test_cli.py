@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -383,6 +385,16 @@ class TestWorkCharges:
         assert code == 0
         assert 0 < count[0] <= cli._matrix_demo_work(n)
 
+    def test_matrix_demo_work_closed_form(self):
+        for n in (1, 2, 8, 19):
+            assert cli._matrix_demo_work(n) == 12014 * n**3 + 12008 * n**2
+
+    def test_verify_scaled_default_samples(self):
+        code, doc = run_json("verify-scaled", "--a", "2", "--bound", "5")
+        assert code == 0
+        assert doc["params"]["samples"] == scaled.IDENTITY_SAMPLES
+        assert doc["payload"]["samples"] == scaled.IDENTITY_SAMPLES
+
 
 class TestBudgetEnv:
     def test_env_override(self, monkeypatch):
@@ -537,6 +549,12 @@ class TestTextMode:
         assert "command: classify" in text
         assert "status: ok" in text
 
+    def test_json_flag_is_gone(self):
+        # JSON is the only other format, so a flag asking for it said nothing
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--modulus", "3", "--json"])
+        assert exc.value.code == 2
+
 
 class TestEntryPoint:
     def test_python_dash_m(self):
@@ -554,6 +572,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["payload"]["unital_scales"] == [1]
+
+    def test_console_script_prints_the_golden(self, capsys):
+        # pyproject's [project.scripts] target, read with a regex because
+        # Python 3.10 has no tomllib
+        text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        section = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        (module, attr), = re.findall(
+            r'^ringrigidity\s*=\s*"([\w.]+):(\w+)"$', section.group(1), re.M
+        )
+        main = getattr(importlib.import_module(module), attr)
+        assert main is cli.main
+        assert main(["enumerate", "--group", "2,2", "--no-timing"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "enumerate_2_2.json").read_text()
 
     def test_timing_reported_without_flag(self):
         _, doc = run_json("classify", "--modulus", "2")

@@ -175,8 +175,8 @@ class TestTwoRingStructures:
         assert noncommutativity_witness(1, 5) is None
 
     def test_sampled_axiom_summaries(self):
-        standard = sample_axioms(STANDARD, 2, 7, triples=300)
-        hadamard = sample_axioms(HADAMARD, 2, 7, triples=300)
+        standard = sample_axioms(STANDARD, 2, 7)
+        hadamard = sample_axioms(HADAMARD, 2, 7)
         assert standard["associative"] and standard["distributive"]
         assert not standard["commutative"]
         assert hadamard["associative"] and hadamard["distributive"]

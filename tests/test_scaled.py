@@ -180,15 +180,38 @@ class TestVerifyScaledForm:
                 return 0
             return n * m
 
-        report = verify_scaled_form(sneaky, IntegerWindow(8), samples=64)
+        report = verify_scaled_form(sneaky, IntegerWindow(8))
         assert report.ok  # looks scaled inside the small window
-        wide = verify_scaled_form(sneaky, IntegerWindow(60), samples=64)
+        wide = verify_scaled_form(sneaky, IntegerWindow(60))
         assert not wide.ok
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5])
+    def test_small_window_accepts_a_product_clipped_outside(self, bound):
+        # 2nm inside the window and 0 beyond: distributive wherever n, m, k
+        # and m + k all lie in the window, so a probe that stays inside
+        # cannot reject it
+        def clipped(n, m):
+            return 2 * n * m if abs(n) <= bound and abs(m) <= bound else 0
+
+        report = verify_scaled_form(clipped, IntegerWindow(bound))
+        assert report.ok and report.scale == 2
+
+    @pytest.mark.parametrize("bound", range(1, 9))
+    def test_never_evaluates_outside_the_window(self, bound):
+        window = IntegerWindow(bound)
+        seen = set()
+
+        def spy(n, m):
+            seen.add((n, m))
+            return 3 * n * m
+
+        assert verify_scaled_form(spy, window).ok
+        assert all(n in window and m in window for n, m in seen)
 
     def test_recovers_every_scale_up_to_50(self):
         window = IntegerWindow(200)
         for a in range(-50, 51):
-            report = verify_scaled_form(ScaledMult(a), window, samples=32)
+            report = verify_scaled_form(ScaledMult(a), window)
             assert report.ok and report.scale == a
 
 
@@ -211,7 +234,7 @@ class TestSignExtension:
             seen.add((n > 0, m > 0))
             return 3 * n * m
 
-        report = verify_scaled_form(spy, IntegerWindow(20), samples=16)
+        report = verify_scaled_form(spy, IntegerWindow(20))
         assert report.ok
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -412,11 +412,13 @@ class TestBlackboxDistributivity:
         assert report.ok
 
     def test_small_triples_always_covered(self):
-        # the 1,1,1 style violations are found even with zero random samples
+        # small violations are found by the exhaustive phase, before any
+        # random sample: |n| <= 3 and |m|, |k| <= 2 at bound 5
         report = check_distributivity_blackbox(
-            lambda n, m: n * m + 1, IntegerWindow(5), samples=0
+            lambda n, m: n * m + 1, IntegerWindow(5)
         )
         assert not report.ok
+        assert report.checked <= 7 * 5 * 5
 
     def test_overflow_identifies_triple(self):
         def huge(n, m):
@@ -425,4 +427,4 @@ class TestBlackboxDistributivity:
             return checked(n * m * 10**18)
 
         with pytest.raises(IntegerOverflowError, match=r"n=.*m=.*k="):
-            check_distributivity_blackbox(huge, IntegerWindow(10**4), samples=50)
+            check_distributivity_blackbox(huge, IntegerWindow(10**4))
