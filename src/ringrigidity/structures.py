@@ -254,16 +254,16 @@ def check_distributivity_blackbox(
 ) -> DistributivityReport:
     """Probe an opaque integer multiplication for two-sided distributivity.
 
-    Runs every triple with |n|, |m|, |k| <= 3 first (so small
-    counterexamples are found deterministically), then
-    ``DISTRIBUTIVITY_SAMPLES`` random triples. In both phases n stays in
-    the window and m, k in its half, so m + k stays inside too; the black
-    box is never evaluated outside the window. Returns the first
-    counterexample, if any.
+    Runs every triple with |n|, |m|, |k| <= min(3, bound) and m + k in
+    the window first (so small counterexamples are found
+    deterministically), then ``DISTRIBUTIVITY_SAMPLES`` random triples
+    with n in the window and m, k in its half. The black box is never
+    evaluated outside the window. Returns the first counterexample, if any.
     """
-    small, half = min(3, window.bound), min(3, window.bound // 2)
+    small = range(-min(3, window.bound), min(3, window.bound) + 1)
     triples = itertools.chain(
-        itertools.product(*(range(-r, r + 1) for r in (small, half, half))),
+        ((n, m, k) for n, m, k in itertools.product(small, small, small)
+         if m + k in window),
         window.random_triples(DISTRIBUTIVITY_SAMPLES, seed),
     )
     for checked_count, (n, m, k) in enumerate(triples, 1):

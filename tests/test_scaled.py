@@ -196,6 +196,30 @@ class TestVerifyScaledForm:
         report = verify_scaled_form(clipped, IntegerWindow(bound))
         assert report.ok and report.scale == 2
 
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_small_window_rejects_any_pair_broken_inside(self, bound):
+        # up to bound 3 the exhaustive phase covers every in-window triple,
+        # so changing 2nm at a single pair (p, q) is always caught:
+        # (p, q - s, s) with s = +-1 splits q into two unbroken pairs
+        window = IntegerWindow(bound)
+        for p in window:
+            for q in window:
+                def broken(n, m):
+                    if (n, m) == (p, q):
+                        return 2 * n * m + 1
+                    return 2 * n * m
+
+                report = verify_scaled_form(broken, window)
+                assert not report.ok and report.rejection is not None, (p, q)
+
+    def test_small_window_rejects_non_distributive_products(self):
+        def zero_at_3_3(n, m):
+            return 0 if (n, m) == (3, 3) else 2 * n * m
+
+        for mul, bound in [(zero_at_3_3, 3), (lambda n, m: abs(n * m), 1)]:
+            report = verify_scaled_form(mul, IntegerWindow(bound))
+            assert not report.ok and report.rejection is not None
+
     @pytest.mark.parametrize("bound", range(1, 9))
     def test_never_evaluates_outside_the_window(self, bound):
         window = IntegerWindow(bound)

@@ -413,12 +413,12 @@ class TestBlackboxDistributivity:
 
     def test_small_triples_always_covered(self):
         # small violations are found by the exhaustive phase, before any
-        # random sample: |n| <= 3 and |m|, |k| <= 2 at bound 5
+        # random sample: |n|, |m|, |k| <= 3 with |m + k| <= 5 at bound 5
         report = check_distributivity_blackbox(
             lambda n, m: n * m + 1, IntegerWindow(5)
         )
         assert not report.ok
-        assert report.checked <= 7 * 5 * 5
+        assert report.checked <= 7 * (7 * 7 - 2)
 
     def test_overflow_identifies_triple(self):
         def huge(n, m):
