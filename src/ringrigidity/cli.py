@@ -241,8 +241,9 @@ def _scaled_units_work(modulus: int) -> int:
     """Ring products of scaled-units on Z/N: 5N^2 + 7N at most.
 
     One reciprocal scan of N^2, N + 1 unit searches of at most 4N each
-    (the base ring's and one per scale: 2N generator screens, 2N to confirm
-    the one candidate that passes) and 3 products per ``scale_ring``.
+    (the base ring's and one per scale: a column screen of N, then 2N + 1
+    to confirm the one candidate that passes) and 3 products per
+    ``scale_ring``.
     """
     return modulus**2 + (modulus + 1) * 4 * modulus + 3 * modulus
 

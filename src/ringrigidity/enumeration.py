@@ -1,27 +1,38 @@
-"""Exhaustive census of ring multiplications on a finite abelian group.
+"""Census of ring multiplications on a finite abelian group.
 
-Candidates are structure-constant tables: entry (i, j) ranges over the
-elements whose order divides gcd(n_i, n_j), which is exactly the
+A multiplication is a table of structure constants: entry (i, j) ranges
+over the elements whose order divides gcd(n_i, n_j), which is exactly the
 well-definedness constraint, so distributivity holds by construction and
-only associativity filters the stream. A candidate is a row-major table of
-plain coordinate tuples; only tables that pass ``associative_table`` become
-objects. Candidates are visited in lexicographic order of the flattened
-table, making runs reproducible and the search resumable by prefix.
+only associativity filters the tables. Tables are plain coordinate tuples;
+only the associative ones become objects.
 
-The search space is partitioned by the value of the first constant. A
-serial run loops ``_survivors`` over the parts and a pool maps it over the
-same parts, so both emit in the same order; a pool never has more
-processes than parts or CPUs. Workers return rings whose tables are
-plain coordinate tuples; element objects appear only for the units found.
+The search assigns one cell at a time in the growing-square order
+00 01 10 11 02 20 12 21 22 ... and tests each generator triple (i, j, l)
+once the last cell it reads (cells (i, j), (j, l), row i, column l) is
+fixed, so a failing partial table is cut with all its extensions. The
+values of the first two cells name the parts of the search. A serial run
+loops ``_part`` over the parts and a pool maps it over the same parts,
+``POOL_CHUNK`` at a time; each part sorts its tables row-major (for rank
+<= 2 the search order already is), so every run emits in lexicographic
+order of the flattened table. A pool never has more processes than parts
+or CPUs, and element objects appear only for the units found.
+
+The census charges the budget per node, one value tried in one cell. The
+parent counts the prefix nodes and adds the parts' counts in task order,
+raising once the total exceeds the budget. A serial part gets the rest of
+the budget as its cap. The parts of one pool call share the rest equally,
+and a part cut short at its share is run again in the parent on the whole
+rest. So the verdict is the same for every worker count, and a pool does
+at most about twice the budget's work before it.
 
 On Z/N both ``rigidity_report`` and ``classify_cyclic`` read one checked
 stream: each ring's ``product_row``s are compared with the closed form
 n*m = scale*n*m one row at a time, so the check makes no element objects
 and holds O(N) products, and a mismatch raises.
 
-``charge`` is the one budget gate: the census charges its candidate count,
-a Z/N census also the N rings x N^2 products of that check, and the CLI
-the work bounds of its other commands, all before any work starts.
+``charge`` is the up-front budget gate of the other work: a Z/N census
+charges the N rings x N^2 products of that check, and the CLI the work
+bounds of its other commands, all before any work starts.
 
 ``full_table_oracle`` is the independent cross-check: it enumerates raw
 N x N Cayley tables with no structure-constant machinery at all and keeps
@@ -30,6 +41,7 @@ the ones that are distributive and associative over addition mod N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -39,11 +51,13 @@ from typing import Iterator, Optional
 
 from .abelian import GroupSpec, all_coords
 from .errors import CapacityError, InvariantViolation, UsageError
-from .structures import RingStructure, StructureConstants, associative_table
+from .structures import RingStructure, StructureConstants, associative_triple
 
 DEFAULT_BUDGET = 10**8
 GROUP_ORDER_CAP = 10_000
 FULL_TABLE_CAP = 3
+PREFIX_CELLS = 2  # the cells whose values name one part of the search
+POOL_CHUNK = 256  # parts per pool.map call, so the parent's task list is bounded
 
 
 @dataclass(frozen=True)
@@ -81,22 +95,80 @@ def _candidate_sets(spec: GroupSpec) -> list[list[tuple[int, ...]]]:
 
 
 def search_space_size(spec: GroupSpec) -> int:
-    return math.prod(len(s) for s in _candidate_sets(spec))
+    """The candidate tables: the product of the cells' candidate-set sizes."""
+    return math.prod(map(len, _plan(spec.moduli)[1]))
 
 
-def _survivors(task: tuple) -> list[RingStructure]:
-    """Rings of one part; task = (moduli, first cell, the other cells' sets)."""
-    moduli, first, rest = task
-    spec = GroupSpec(moduli)
-    k = spec.rank
+@functools.lru_cache(maxsize=16)
+def _plan(moduli: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
+    """The cells in search order, their candidate sets, the triples due at each.
+
+    The order is the growing square 00 01 10 11 02 20 12 21 22 ...; triple
+    (i, j, l) is due at the depth that fixes the last cell it reads.
+    """
+    k = len(moduli)
+    order = []
+    for m in range(k):
+        for a in range(m):
+            order += [(a, m), (m, a)]
+        order.append((m, m))
+    depth = {cell: d for d, cell in enumerate(order)}
+    due: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    r = range(k)
+    for i, j, l in itertools.product(r, r, r):
+        read = [(i, j), (j, l)] + [(i, s) for s in r] + [(s, l) for s in r]
+        due[max(depth[c] for c in read)].append((i, j, l))
+    sets = _candidate_sets(GroupSpec(moduli))
+    ordered = tuple(sets[i * k + j] for i, j in order)
+    return tuple(order), ordered, tuple(map(tuple, due))
+
+
+def _part(task: tuple) -> tuple[list[RingStructure], int]:
+    """Rings extending one prefix, sorted row-major, and the nodes visited.
+
+    task = (moduli, values of the first cells, cap). A node is one value
+    tried in one cell; past ``cap`` nodes the search stops and reports
+    cap + 1. No triple is due before the prefix's last cell, except on rank
+    1, where every table is associative. A triple that fails moves to the
+    front of its depth's list, so the triple that cuts most is tried first.
+    """
+    moduli, prefix, cap = task
+    order, sets, due = _plan(moduli)
+    due = [list(checks) for checks in due]
+    k = len(moduli)
+    table = [[None] * k for _ in range(k)]
+    for (i, j), x in zip(order, prefix):
+        table[i][j] = x
     found = []
-    for tail in itertools.product(*rest):
-        flat = (first,) + tail
-        table = tuple(flat[i * k : (i + 1) * k] for i in range(k))
-        if associative_table(moduli, table):
-            constants = StructureConstants(spec, table)
-            found.append(RingStructure.from_constants(constants))
-    return found
+    nodes = 0
+
+    def extend(depth: int) -> None:
+        nonlocal nodes
+        if depth == len(order):
+            found.append(tuple(map(tuple, table)))
+            return
+        i, j = order[depth]
+        row, checks = table[i], due[depth]
+        for x in sets[depth]:
+            if nodes >= cap:
+                nodes = cap + 1
+                return
+            nodes += 1
+            row[j] = x
+            for n, triple in enumerate(checks):
+                if not associative_triple(moduli, table, *triple):
+                    if n:
+                        checks.insert(0, checks.pop(n))  # tried first next time
+                    break
+            else:
+                extend(depth + 1)
+
+    extend(len(prefix))
+    spec = GroupSpec(moduli)
+    found.sort()
+    return [
+        RingStructure.from_constants(StructureConstants(spec, t)) for t in found
+    ], nodes
 
 
 def enumerate_multiplications(
@@ -104,27 +176,46 @@ def enumerate_multiplications(
 ) -> Iterator[RingStructure]:
     """Every associative bilinear multiplication on the group, exactly once.
 
-    Emitted in lexicographic order of the flattened constant table. The
-    candidate count (before the associativity filter) is charged against
-    the budget up front.
+    Emitted in lexicographic order of the flattened constant table. Every
+    node of the search is charged against the budget, and the search
+    raises once the count exceeds it.
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
             f"group order {spec.order} exceeds the search cap {GROUP_ORDER_CAP}"
         )
-    sets = _candidate_sets(spec)
-    charge(
-        math.prod(len(s) for s in sets), config.budget,
-        f"candidate tables in the search space of {spec}",
-    )
-    tasks = [(spec.moduli, first, sets[1:]) for first in sets[0]]
+    budget = config.budget
+    head = _plan(spec.moduli)[1][:PREFIX_CELLS]
+    spent = 0
+
+    def spend(nodes: int) -> None:
+        nonlocal spent
+        spent += nodes
+        if spent > budget:
+            raise CapacityError(
+                f"the census of {spec} visits more than {budget} search nodes "
+                "(cell values tried), the budget"
+            )
+
+    # nothing is cut before the prefix's last cell, so all its nodes are visited
+    spend(sum(math.prod(len(s) for s in head[: d + 1]) for d in range(len(head))))
+    prefixes = itertools.product(*head)
     if config.workers <= 1:
-        for task in tasks:
-            yield from _survivors(task)
+        for prefix in prefixes:
+            rings, nodes = _part((spec.moduli, prefix, budget - spent))
+            spend(nodes)
+            yield from rings
         return
-    with Pool(min(config.workers, len(tasks), os.cpu_count() or 1)) as pool:
-        for batch in pool.map(_survivors, tasks):
-            yield from batch
+    processes = min(config.workers, math.prod(map(len, head)), os.cpu_count() or 1)
+    with Pool(processes) as pool:
+        for chunk in iter(lambda: list(itertools.islice(prefixes, POOL_CHUNK)), []):
+            share = (budget - spent) // len(chunk)
+            tasks = [(spec.moduli, prefix, share) for prefix in chunk]
+            for task, (rings, nodes) in zip(tasks, pool.map(_part, tasks)):
+                if nodes > share:  # cut short: finish it here on the whole rest
+                    rings, nodes = _part((spec.moduli, task[1], budget - spent))
+                spend(nodes)
+                yield from rings
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ i, j, l, t, checked on the table by ``associative_table``.
 
 Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
 of the generators. ``product`` applies it to two coordinate tuples and
-``product_row`` to every element in lexicographic order; ``eval`` is the
+``product_row`` to every element in lexicographic order; ``product_column``
+is its mirror, x*y for every x from the right images e_i*y. ``eval`` is the
 element-object edge, taking and returning ``GroupElement``. ``find_unit``
-scans coordinate tuples and builds an element only for the unit it returns.
+screens coordinate tuples a column at a time and builds an element only
+for the unit it returns.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
@@ -87,20 +89,21 @@ class StructureConstants:
         )
         object.__setattr__(self, "table", table)
 
-    def _left_images(self, x) -> list[list[int]]:
-        """The kernel: x*e_j = sum_i x_i C[i][j] for every generator e_j.
-
-        ``x`` is a coordinate tuple; the images are plain unreduced ints.
-        """
+    def _images(self, x, lines) -> list[list[int]]:
+        """sum_i x_i line[i] for each line of entries, as plain unreduced ints."""
         images = []
-        for column in zip(*self.table):
-            image = [0] * len(column)
-            for xi, entry in zip(x, column):
+        for line in lines:
+            image = [0] * len(line)
+            for xi, entry in zip(x, line):
                 if xi:
                     for t, c in enumerate(entry):
                         image[t] += xi * c
             images.append(image)
         return images
+
+    def _left_images(self, x) -> list[list[int]]:
+        """The kernel: x*e_j = sum_i x_i C[i][j] for every generator e_j."""
+        return self._images(x, zip(*self.table))
 
     def product(self, x, y) -> tuple[int, ...]:
         """x*y = sum_j y_j (x*e_j) on coordinate tuples, reduced."""
@@ -117,14 +120,13 @@ class StructureConstants:
             raise UsageError("eval: elements do not belong to this table's group")
         return GroupElement(self.group, self.product(g.coords, h.coords))
 
-    def product_row(self, x) -> list[tuple[int, ...]]:
-        """x*y for every y in lexicographic order, as reduced coordinate tuples.
+    def _span(self, images) -> list[tuple[int, ...]]:
+        """sum_j y_j images[j] for every y in lexicographic order, reduced.
 
         Each coordinate column is built generator by generator, one
         multiply-add per generator per cell; no element objects are made.
         """
         moduli = self.group.moduli
-        images = self._left_images(x)
         columns = []
         for t, n in enumerate(moduli):
             column = [0]
@@ -134,10 +136,34 @@ class StructureConstants:
             columns.append(column)
         return list(zip(*columns))
 
+    def product_row(self, x) -> list[tuple[int, ...]]:
+        """x*y for every y in lexicographic order, as reduced coordinate tuples."""
+        return self._span(self._left_images(x))
+
+    def product_column(self, y) -> list[tuple[int, ...]]:
+        """x*y for every x in lexicographic order, from the images e_i*y."""
+        return self._span(self._images(y, self.table))
+
 
 def cyclic_constants(modulus: int, scale: int) -> StructureConstants:
     """The multiplication n*m = scale*n*m on Z/modulus."""
     return StructureConstants(GroupSpec((modulus,)), ((scale,),))
+
+
+def associative_triple(moduli: tuple[int, ...], table, i: int, j: int, l: int) -> bool:
+    """Whether (e_i e_j) e_l = e_i (e_j e_l), in every coordinate t.
+
+    Reads only cells (i, j), (j, l), row i and column l of the table.
+    """
+    ij, jl, row = table[i][j], table[j][l], table[i]
+    column = [r[l] for r in table]
+    for t, n in enumerate(moduli):
+        acc = 0
+        for a, b, down, across in zip(ij, jl, column, row):
+            acc += a * down[t] - b * across[t]
+        if acc % n:
+            return False
+    return True
 
 
 def associative_table(moduli: tuple[int, ...], table) -> bool:
@@ -149,9 +175,8 @@ def associative_table(moduli: tuple[int, ...], table) -> bool:
     """
     r = range(len(moduli))
     return all(
-        sum(table[i][j][s] * table[s][l][t] - table[j][l][s] * table[i][s][t]
-            for s in r) % moduli[t] == 0
-        for i in r for j in r for l in r for t in r
+        associative_triple(moduli, table, i, j, l)
+        for i in r for j in r for l in r
     )
 
 
@@ -173,22 +198,24 @@ def check_commutativity(constants: StructureConstants) -> bool:
 def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     """The unique two-sided identity, or None.
 
-    Scans all coordinate tuples, testing each candidate against the
-    generators (sufficient by bilinearity); a surviving candidate is then
-    verified on both sides against every element, and only the unit
-    returned becomes an element object.
+    Screens every coordinate tuple u at once on u*e = e for each generator
+    e, one ``product_column`` per generator, then on e*u = e (sufficient by
+    bilinearity); a surviving candidate is then verified on both sides
+    against every element, and only the unit returned becomes an element
+    object.
     """
     spec = constants.group
     k = spec.rank
     gens = [tuple(int(j == i) for j in range(k)) for i in range(k)]
-    product = constants.product
-    for u in all_coords(spec):
-        if all(product(u, e) == e and product(e, u) == e for e in gens):
-            everything = list(all_coords(spec))
-            if constants.product_row(u) == everything and all(
-                product(g, u) == g for g in everything
-            ):
-                return GroupElement(spec, u)
+    everything = list(all_coords(spec))
+    screens = [constants.product_column(e) for e in gens]
+    for u, *images in zip(everything, *screens):
+        if (
+            images == gens
+            and all(constants.product(e, u) == e for e in gens)
+            and constants.product_row(u) == everything == constants.product_column(u)
+        ):
+            return GroupElement(spec, u)
     return None
 
 

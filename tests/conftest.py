@@ -15,6 +15,7 @@ import pytest
 
 from ringrigidity import GroupElement, GroupSpec, StructureConstants, all_elements
 from ringrigidity import scaled
+from ringrigidity.structures import associative_table
 
 
 def iterated_add(g: GroupElement, count: int) -> GroupElement:
@@ -85,6 +86,27 @@ def object_path_census(spec: GroupSpec) -> list:
             for b in elements
             for c in elements
         ):
+            found.append(table)
+    return found
+
+
+def exhaustive_census(spec: GroupSpec) -> list:
+    """Associative tables in row-major order, over the whole candidate product.
+
+    Walks every well-defined table, with no pruning and no partition, and
+    keeps those that pass ``associative_table``. Returns coordinate tables,
+    the census's emission format.
+    """
+    k, moduli = spec.rank, spec.moduli
+    cells = [
+        list(itertools.product(*(range(0, n, n // math.gcd(n, a, b)) for n in moduli)))
+        for a in moduli
+        for b in moduli
+    ]
+    found = []
+    for flat in itertools.product(*cells):
+        table = tuple(flat[i * k : (i + 1) * k] for i in range(k))
+        if associative_table(moduli, table):
             found.append(table)
     return found
 

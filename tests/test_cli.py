@@ -53,6 +53,7 @@ class TestGoldenFiles:
             ("enumerate_64", ["enumerate", "--group", "64"]),
             ("scaled_units_12", ["scaled-units", "--modulus", "12"]),
             ("enumerate_2_6", ["enumerate", "--group", "2,6"]),
+            ("enumerate_2_2_2", ["enumerate", "--group", "2,2,2"]),
         ],
     )
     def test_byte_stable(self, name, args):
@@ -141,10 +142,25 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_capacity_is_three(self, monkeypatch):
-        monkeypatch.setenv("RIGIDITY_BUDGET", "10")
-        code, doc = run_json("enumerate", "--group", "2,2")
+        # 2,2 visits 196 search nodes: that budget passes, one less exits 3
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RIGIDITY_BUDGET", "195")
+            code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
+            assert code == 3
+            assert "more than 195 search nodes" in doc["payload"]["message"]
+            monkeypatch.setenv("RIGIDITY_BUDGET", "196")
+            code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
+            assert code == 0 and doc["payload"]["total"] == 28
+
+    def test_node_charge_stops_search(self, monkeypatch):
+        # 2,4,4 has 3.4e10 candidate tables; the search itself meets the budget
+        monkeypatch.setenv("RIGIDITY_BUDGET", "1000")
+        start = time.perf_counter()
+        code, doc = run_json("enumerate", "--group", "2,4,4")
+        assert time.perf_counter() - start < 1.0
         assert code == 3
-        assert "256" in doc["payload"]["message"]
+        jsonschema.validate(doc, SCHEMA)
+        assert "more than 1000 search nodes" in doc["payload"]["message"]
 
     def test_zero_workers_is_usage_error(self):
         code, doc = run_json("enumerate", "--group", "2,2", "--workers", "0")
@@ -286,10 +302,11 @@ class TestWorkCharges:
     @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 6, 8, 12, 30])
     def test_scaled_units_charge_bounds_products(self, monkeypatch, modulus):
         # one product per product() call (eval and find_unit go through it),
-        # N per product_row
+        # N per product_row or product_column
         count = [0]
         product = StructureConstants.product
         row = StructureConstants.product_row
+        column = StructureConstants.product_column
 
         def counted_product(self, x, y):
             count[0] += 1
@@ -299,8 +316,13 @@ class TestWorkCharges:
             count[0] += self.group.order
             return row(self, x)
 
+        def counted_column(self, y):
+            count[0] += self.group.order
+            return column(self, y)
+
         monkeypatch.setattr(StructureConstants, "product", counted_product)
         monkeypatch.setattr(StructureConstants, "product_row", counted_row)
+        monkeypatch.setattr(StructureConstants, "product_column", counted_column)
         code, _ = run_json("scaled-units", "--modulus", str(modulus))
         assert code == 0
         assert 0 < count[0] <= cli._scaled_units_work(modulus)

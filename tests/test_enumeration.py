@@ -18,11 +18,39 @@ from ringrigidity import (
 )
 from ringrigidity import enumeration
 
-from conftest import factor_sequences, object_path_census
+from conftest import exhaustive_census, factor_sequences, object_path_census
+
+# 2,2 visits exactly this many search nodes (cell values tried)
+KLEIN_NODES = 196
 
 
 def coords_tables(spec, config=SearchConfig()):
     return [r.mult.table for r in enumerate_multiplications(spec, config)]
+
+
+class SerialPool:
+    """A stand-in pool: no processes; records its sizes and maps serially."""
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        self.mapped.append(len(tasks))
+        return [fn(task) for task in tasks]
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Install ``SerialPool`` with fresh records; returns the class."""
+    pool = type("RecordingPool", (SerialPool,), {"sizes": [], "mapped": []})
+    monkeypatch.setattr(enumeration, "Pool", pool)
+    return pool
 
 
 class TestCyclicCountLaw:
@@ -189,6 +217,20 @@ class TestObjectPathOracle:
         assert element_count[0] <= report.unital_count
 
 
+class TestExhaustiveOracle:
+    @pytest.mark.parametrize(
+        "moduli",
+        [m for m in factor_sequences(16) if len(m) == 2] + [(3, 9)],
+        ids=lambda m: ",".join(map(str, m)),
+    )
+    def test_pruned_stream_equals_exhaustive_walk(self, moduli):
+        # same tables in the same order, serial and through a real pool
+        spec = GroupSpec(moduli)
+        walk = exhaustive_census(spec)
+        for workers in (1, 2):
+            assert coords_tables(spec, SearchConfig(workers=workers)) == walk
+
+
 class TestProductGroups:
     def test_coprime_factors_force_zero_cross_constants(self):
         spec = GroupSpec((2, 3))
@@ -217,6 +259,8 @@ class TestProductGroups:
             ("3,3", (121, 105, 72)),
             ("3,9", (405, 315, 162)),
             ("4,4", (616, 400, 192)),
+            ("2,2,2", (1688, 988, 532)),
+            ("2,2,4", (4864, 2272, 992)),
         ],
     )
     def test_known_census(self, group, counts):
@@ -254,25 +298,7 @@ class TestDeterminismAndParallelism:
         parallel = coords_tables(spec, SearchConfig(workers=3))
         assert serial == parallel
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # no real processes: the stand-in pool records its size and maps
-        # serially
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
-
-        monkeypatch.setattr(enumeration, "Pool", SerialPool)
+    def test_pool_capped_at_cpu_count(self, monkeypatch, serial_pool):
         spec = GroupSpec((8,))
         serial = coords_tables(spec)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
@@ -281,9 +307,24 @@ class TestDeterminismAndParallelism:
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
         assert coords_tables(spec, SearchConfig(workers=2)) == serial
-        # 8 first-cell tasks bound the pool when CPUs and workers are many
+        # 8 one-cell tasks bound the pool when CPUs and workers are many
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
-        assert sizes == [3, 1, 2, 8]
+        assert serial_pool.sizes == [3, 1, 2, 8]
+
+    def test_pool_maps_two_cell_parts(self, serial_pool):
+        # 4 values of cell 00 times 4 of cell 01: 16 parts, not 4
+        spec = GroupSpec((2, 2))
+        serial = coords_tables(spec)
+        assert coords_tables(spec, SearchConfig(workers=2)) == serial
+        assert serial_pool.mapped == [16]
+
+    def test_rank_three_order_matches_serial(self):
+        # the growing-square search sorts each part, so the stream stays sorted
+        spec = GroupSpec((2, 2, 2))
+        serial = coords_tables(spec)
+        assert len(serial) == 1688
+        assert serial == sorted(serial)
+        assert coords_tables(spec, SearchConfig(workers=2)) == serial
 
     def test_lexicographic_emission_order(self):
         tables = coords_tables(GroupSpec((5,)))
@@ -292,14 +333,45 @@ class TestDeterminismAndParallelism:
 
 class TestCapsAndBudget:
     def test_budget_exceeded_names_size(self):
+        # one node short of the search stops it, whatever the worker count
         spec = GroupSpec((2, 2))
-        with pytest.raises(CapacityError, match="256"):
-            list(enumerate_multiplications(spec, SearchConfig(budget=255)))
+        for workers in (1, 2):
+            config = SearchConfig(workers=workers, budget=KLEIN_NODES - 1)
+            with pytest.raises(CapacityError, match=f"more than {KLEIN_NODES - 1} "):
+                list(enumerate_multiplications(spec, config))
 
     def test_budget_boundary_accepted(self):
         spec = GroupSpec((2, 2))
-        rings = list(enumerate_multiplications(spec, SearchConfig(budget=256)))
-        assert len(rings) == 28
+        for workers in (1, 2):
+            config = SearchConfig(workers=workers, budget=KLEIN_NODES)
+            assert len(list(enumerate_multiplications(spec, config))) == 28
+
+    def test_pool_work_bounded_past_the_budget(self, monkeypatch, serial_pool):
+        # the parts of a pool call share the rest of the budget, so a search
+        # over it stops after about twice the budget's work
+        visited = [0]
+        part = enumeration._part
+
+        def counted(task):
+            rings, nodes = part(task)
+            visited[0] += nodes
+            return rings, nodes
+
+        monkeypatch.setattr(enumeration, "_part", counted)
+        config = SearchConfig(workers=2, budget=1000)
+        with pytest.raises(CapacityError, match="more than 1000 search nodes"):
+            list(enumerate_multiplications(GroupSpec((2, 4, 4)), config))
+        assert serial_pool.mapped == [64]
+        prefix_nodes = 8 + 8 * 8  # cells 00 and 01 hold 8 values each
+        assert 1000 < prefix_nodes + visited[0] <= 2 * 1000 + enumeration.POOL_CHUNK + 1
+
+    def test_product_size_not_charged(self):
+        # 2,2,2 has 8^9 candidate tables, over the default budget, yet the
+        # search runs: only the nodes it visits are charged
+        spec = GroupSpec((2, 2, 2))
+        assert search_space_size(spec) > enumeration.DEFAULT_BUDGET
+        zero = spec.zero().coords
+        assert next(enumerate_multiplications(spec)).mult.table == ((zero,) * 3,) * 3
 
     def test_scaled_form_work_charged(self):
         # Z/N checks N rings of N^2 products each, before any work starts
