@@ -153,9 +153,9 @@ def _verify_scaled_work(samples: int, bound: int) -> int:
     """Black-box multiplications of verify-scaled: 12s + 3(2b + 1) at most.
 
     Each identity sample takes 12 products: 4 for associativity, 6 for
-    two-sided distributivity and 2 for commutativity. The unit scan drops
-    a candidate u with a*u != 1 at its first product, and the unit, if
-    there is one, takes 2 products per window element.
+    two-sided distributivity and 2 for commutativity. The unit scan
+    screens each candidate u with one product, and only the unit, if
+    there is one, goes on to 2 products per window element.
     """
     return 12 * samples + 3 * (2 * bound + 1)
 
@@ -191,14 +191,15 @@ def _run_verify_scaled(args) -> tuple[dict, dict]:
 
 
 def _matrix_demo_work(n: int) -> int:
-    """Scalar multiply-adds of matrix-demo: 12014*n^3 + 12008*n^2 at most.
+    """Scalar multiply-adds of matrix-demo: 9014*n^3 + 9008*n^2.
 
     A standard product takes n^3 multiply-adds, a Hadamard product n^2.
-    Each mode samples ``AXIOM_TRIPLES`` triples of 12 products and checks
+    Each mode samples ``AXIOM_TRIPLES`` triples of 9 products and checks
     its unit on ``UNIT_CHECKS`` samples of 2; the standard mode also builds
-    the witness twice and multiplies it both ways (6 products).
+    the witness twice and multiplies it both ways (6 products). The count
+    is exact for n >= 2; at n = 1 there is no witness.
     """
-    per_mode = 12 * AXIOM_TRIPLES + 2 * UNIT_CHECKS
+    per_mode = 9 * AXIOM_TRIPLES + 2 * UNIT_CHECKS
     return (per_mode + 6) * n**3 + per_mode * n**2
 
 

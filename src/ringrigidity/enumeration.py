@@ -291,10 +291,10 @@ def rigidity_report(
 
 @dataclass(frozen=True)
 class CyclicClassification:
+    """One multiplication on Z/N: its scale mul(1, 1) and its unit, if any."""
+
     scale: int
-    unital: bool
     unit: Optional[int]
-    is_minus_one: bool
 
 
 def classify_cyclic(
@@ -304,19 +304,13 @@ def classify_cyclic(
 
     Every ring is checked against scale*n*m first, and a mismatch raises.
     """
-    out = []
-    for ring in _cyclic_rings(GroupSpec((modulus,)), config):
-        scale = ring.mult.table[0][0][0]
-        unit = ring.unit
-        out.append(
-            CyclicClassification(
-                scale=scale,
-                unital=unit is not None,
-                unit=unit.coords[0] if unit is not None else None,
-                is_minus_one=scale == modulus - 1,
-            )
+    return [
+        CyclicClassification(
+            ring.mult.table[0][0][0],
+            None if ring.unit is None else ring.unit.coords[0],
         )
-    return out
+        for ring in _cyclic_rings(GroupSpec((modulus,)), config)
+    ]
 
 
 FullTable = tuple[tuple[int, ...], ...]

@@ -7,7 +7,7 @@ product, here "alternate"); ``scaled_identity_suite`` samples those
 identities, ``IDENTITY_SAMPLES`` triples unless ``verify-scaled --samples``
 says otherwise. ``verify_scaled_form`` checks the converse direction on a
 bounded window: any distributive black-box multiplication coincides there
-with the scaled family for a = mul(1, 1).
+with the scaled family for a = mul(1, 1), checked one whole row at a time.
 
 On finite base rings: ``scale_ring`` transplants the same construction to
 an arbitrary associative ring with a central scale element, and
@@ -23,6 +23,7 @@ only scales, units and violation pairs are ``GroupElement``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .abelian import (
@@ -85,10 +86,14 @@ def find_unit_windowed(mul: BlackBoxMul, window: IntegerWindow) -> Optional[int]
     """Brute-force two-sided identity search over a window.
 
     A candidate u qualifies only if mul(u, n) = n = mul(n, u) for every n
-    in the window.
+    in the window. The scan screens each u by its product with -bound,
+    the first n of that check, and runs the full check only on a u whose
+    screen product is -bound; the unit's screen product is repeated
+    once, so a scaled multiplication takes at most 3(2b + 1) products.
     """
-    for u in window:
-        if all(mul(u, n) == n and mul(n, u) == n for n in window):
+    b = window.bound
+    for u, screen in zip(window, map(mul, window, repeat(-b))):
+        if screen == -b and all(mul(u, n) == n and mul(n, u) == n for n in window):
             return u
     return None
 
@@ -166,18 +171,28 @@ def verify_scaled_form(
 
     A multiplication that is not distributive on the window is rejected
     rather than classified; otherwise every pair in the window is compared
-    against the scaled form and the first violation, if any, is reported.
+    against the scaled form and the first violation in row-major order,
+    if any, is reported. Each row n is evaluated whole and compared with
+    its closed form a*n*m; only a row that differs is searched for its
+    first bad m, so after a violation the black box may have seen the
+    rest of that row, but never a pair outside the window. |a*n*m| peaks
+    at |a|*b^2 on the window's corners, so one overflow check of that
+    value covers every pair.
     """
     dist = check_distributivity_blackbox(mul, window, seed)
     if not dist.ok:
         return ScaledFormReport(False, None, None, dist.counterexample)
     a = extract_scale(mul)
     b = window.bound
-    for n in range(-b, b + 1):
+    checked(a * b * b, f"the scaled form at (a={a}, n={-b}, m={-b})")
+    ms = range(-b, b + 1)
+    for n in ms:
         an = a * n
-        for m in range(-b, b + 1):
-            if mul(n, m) != checked(an * m):
-                return ScaledFormReport(False, a, (n, m), None)
+        closed = list(range(-an * b, an * (b + 1), an)) if an else [0] * len(ms)
+        row = list(map(mul, repeat(n), ms))
+        if row != closed:
+            m = next(m for m, got in zip(ms, row) if got != an * m)
+            return ScaledFormReport(False, a, (n, m), None)
     return ScaledFormReport(True, a, None, None)
 
 

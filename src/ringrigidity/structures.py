@@ -21,8 +21,8 @@ for the unit it returns.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
-window on small exhaustive triples plus ``DISTRIBUTIVITY_SAMPLES`` random
-ones.
+window on small exhaustive triples plus, above bound 3,
+``DISTRIBUTIVITY_SAMPLES`` random ones.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .errors import IntegerOverflowError, UsageError
 
 BlackBoxMul = Callable[[int, int], int]
 
-# random triples in each black-box distributivity probe, after the small ones
+# random triples in each black-box distributivity probe above bound 3,
+# after the small ones
 DISTRIBUTIVITY_SAMPLES = 512
 
 
@@ -283,15 +284,19 @@ def check_distributivity_blackbox(
 
     Runs every triple with |n|, |m|, |k| <= min(3, bound) and m + k in
     the window first (so small counterexamples are found
-    deterministically), then ``DISTRIBUTIVITY_SAMPLES`` random triples
-    with n in the window and m, k in its half. The black box is never
-    evaluated outside the window. Returns the first counterexample, if any.
+    deterministically), then, above bound 3, ``DISTRIBUTIVITY_SAMPLES``
+    random triples with n in the window and m, k in its half; up to bound
+    3 the first phase already covers every such triple. The black box is
+    never evaluated outside the window. Returns the first counterexample,
+    if any.
     """
-    small = range(-min(3, window.bound), min(3, window.bound) + 1)
+    reach = min(3, window.bound)
+    small = range(-reach, reach + 1)
+    samples = DISTRIBUTIVITY_SAMPLES if reach < window.bound else 0
     triples = itertools.chain(
         ((n, m, k) for n, m, k in itertools.product(small, small, small)
          if m + k in window),
-        window.random_triples(DISTRIBUTIVITY_SAMPLES, seed),
+        window.random_triples(samples, seed),
     )
     for checked_count, (n, m, k) in enumerate(triples, 1):
         bad = _dist_at(mul, n, m, k)

@@ -80,26 +80,28 @@ class TestClassifyCyclic:
     def test_scales_cover_residues(self):
         entries = classify_cyclic(6)
         assert [e.scale for e in entries] == [0, 1, 2, 3, 4, 5]
-        assert sorted(e.scale for e in entries if e.unital) == [1, 5]
+        assert sorted(e.scale for e in entries if e.unit is not None) == [1, 5]
 
     def test_two_element_carrier(self):
         entries = classify_cyclic(2)
         assert [e.scale for e in entries] == [0, 1]
-        assert [e.unital for e in entries] == [False, True]
+        assert [e.unit is not None for e in entries] == [False, True]
 
     def test_nine(self):
         entries = classify_cyclic(9)
-        assert sorted(e.scale for e in entries if e.unital) == [1, 2, 4, 5, 7, 8]
+        assert sorted(e.scale for e in entries if e.unit is not None) == [
+            1, 2, 4, 5, 7, 8,
+        ]
 
     def test_units_equal_inverse_of_scale(self):
         for modulus in range(2, 17):
             for e in classify_cyclic(modulus):
-                if e.unital:
+                if e.unit is not None:
                     assert (e.scale * e.unit) % modulus == 1 % modulus
 
     def test_minus_one_flag(self):
         entries = classify_cyclic(5)
-        assert [e.is_minus_one for e in entries] == [
+        assert [e.scale == 5 - 1 for e in entries] == [
             False, False, False, False, True,
         ]
 

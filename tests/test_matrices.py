@@ -102,6 +102,42 @@ class TestHadamardProduct:
                 assert mat_mul_hadamard(a, b) == mat_mul_hadamard(b, a)
 
 
+class TestKernelsMatchNaiveLoops:
+    @staticmethod
+    def _raw_pairs(n, modulus):
+        # entries outside 0..modulus-1, so the reduction is checked as well
+        rng = random.Random(1000 * n + modulus)
+
+        def row():
+            return tuple(rng.randrange(-3 * modulus, 3 * modulus) for _ in range(n))
+
+        return [
+            (tuple(row() for _ in range(n)), tuple(row() for _ in range(n)))
+            for _ in range(3)
+        ]
+
+    @pytest.mark.parametrize("modulus", [2, 7, 11])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_products_and_sum(self, n, modulus):
+        for x, y in self._raw_pairs(n, modulus):
+            a, b = MatrixElement(modulus, x), MatrixElement(modulus, y)
+            standard = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    for t in range(n):
+                        standard[i][j] += x[i][t] * y[t][j]
+                    standard[i][j] %= modulus
+            hadamard = [
+                [x[i][j] * y[i][j] % modulus for j in range(n)] for i in range(n)
+            ]
+            total = [
+                [(x[i][j] + y[i][j]) % modulus for j in range(n)] for i in range(n)
+            ]
+            assert mat_mul_standard(a, b).to_lists() == standard
+            assert mat_mul_hadamard(a, b).to_lists() == hadamard
+            assert mat_add(a, b).to_lists() == total
+
+
 class TestUnits:
     def test_standard_unit(self):
         assert unit_matrix(STANDARD, 2, 7).rows == ((1, 0), (0, 1))

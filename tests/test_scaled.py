@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringrigidity import (
+    INT_CAPACITY,
     GroupSpec,
     IntegerOverflowError,
     IntegerWindow,
@@ -13,6 +14,7 @@ from ringrigidity import (
     SearchConfig,
     UsageError,
     all_elements,
+    check_distributivity_blackbox,
     check_scaled_unitality,
     enumerate_multiplications,
     extract_scale,
@@ -82,6 +84,19 @@ class TestUnitOfScaled:
         window = IntegerWindow(1000)
         for a in range(-100, 101):
             assert find_unit_windowed(ScaledMult(a), window) == unit_of_scaled(a)
+
+    @pytest.mark.parametrize("a", [-1, 1, 2])
+    def test_windowed_scan_stays_within_its_charge(self, a):
+        # one screen product per candidate, 2 per window element for the unit
+        window = IntegerWindow(50)
+        calls = [0]
+
+        def counted(n, m):
+            calls[0] += 1
+            return a * n * m
+
+        assert find_unit_windowed(counted, window) == unit_of_scaled(a)
+        assert 0 < calls[0] <= 3 * len(window)
 
 
 class TestExtractScale:
@@ -231,6 +246,47 @@ class TestVerifyScaledForm:
 
         assert verify_scaled_form(spy, window).ok
         assert all(n in window and m in window for n, m in seen)
+
+    @staticmethod
+    def _unprobed(window):
+        # the pairs, in row-major order, that the distributivity probe
+        # never evaluates, so breaking them leaves the probe passing
+        seen = set()
+
+        def spy(n, m):
+            seen.add((n, m))
+            return 2 * n * m
+
+        assert check_distributivity_blackbox(spy, window).ok
+        return [(n, m) for n in window for m in window if (n, m) not in seen]
+
+    @pytest.mark.parametrize("same_row", [True, False], ids=["same-row", "two-rows"])
+    def test_reports_the_row_major_first_mismatch(self, same_row):
+        window = IntegerWindow(40)
+        free = self._unprobed(window)
+        if same_row:
+            broken = [p for p in free if p[0] == 17][-2:]
+        else:
+            # the later row's pair has the smaller m, so a column-major
+            # scan would report it first
+            n1, m1 = next(p for p in free if p[1] > 0)
+            broken = [(n1, m1), next(p for p in free if p[0] > n1 and p[1] < m1)]
+
+        def mul(n, m):
+            return 2 * n * m + ((n, m) in broken)
+
+        report = verify_scaled_form(mul, window)
+        assert not report.rejected
+        assert not report.ok and report.scale == 2
+        assert report.counterexample == min(broken)
+
+    def test_overflowing_corner_raises(self):
+        # the probe's split sums stay below a*1001*1000 <= INT_CAPACITY, so
+        # only the window's corner a*1001^2 leaves the checked range
+        bound, a = 1001, 9_210_000_000_000
+        assert a * bound * (bound - 1) <= INT_CAPACITY < a * bound * bound
+        with pytest.raises(IntegerOverflowError, match=r"n=-1001, m=-1001"):
+            verify_scaled_form(lambda n, m: a * n * m, IntegerWindow(bound))
 
     def test_recovers_every_scale_up_to_50(self):
         window = IntegerWindow(200)

@@ -8,6 +8,7 @@ from ringrigidity import (
     IntegerOverflowError,
     IntegerWindow,
     RingStructure,
+    ScaledMult,
     StructureConstants,
     UsageError,
     all_elements,
@@ -17,6 +18,7 @@ from ringrigidity import (
     cyclic_constants,
     find_unit,
 )
+from ringrigidity.structures import DISTRIBUTIVITY_SAMPLES
 
 from conftest import (
     allowed_entries,
@@ -419,6 +421,16 @@ class TestBlackboxDistributivity:
         )
         assert not report.ok
         assert report.checked <= 7 * (7 * 7 - 2)
+
+    @pytest.mark.parametrize(
+        "bound,count",
+        [(1, 3 * 7), (2, 5 * 19), (3, 7 * 37), (4, 7 * 43 + DISTRIBUTIVITY_SAMPLES)],
+    )
+    def test_random_phase_only_above_bound_3(self, bound, count):
+        # up to bound 3 the exhaustive phase is every in-window triple,
+        # (2b + 1) values of n times the (m, k) with m + k in the window
+        report = check_distributivity_blackbox(ScaledMult(3), IntegerWindow(bound))
+        assert report.ok and report.checked == count
 
     def test_overflow_identifies_triple(self):
         def huge(n, m):
