@@ -8,17 +8,19 @@ only the associative ones become objects.
 
 The search assigns one cell at a time in the growing-square order
 00 01 10 11 02 20 12 21 22 ... and tests each generator triple (i, j, l)
-once the last cell it reads (cells (i, j), (j, l), row i, column l) is
-fixed, so a failing partial table is cut with all its extensions. The
-values of the first two cells name the parts of the search. A serial run
-loops ``_part`` over the parts and a pool maps it over the same parts,
+as soon as every cell it reads is fixed: cells (i, j) and (j, l), cell
+(s, l) where C[i][j]_s != 0 and cell (i, s) where C[j][l]_s != 0. So a
+failing partial table is cut with all its extensions. The values of the
+first two cells name the parts of the search. A serial run loops
+``_part`` over the parts and a pool maps it over the same parts,
 ``POOL_CHUNK`` at a time; each part sorts its tables row-major (for rank
 <= 2 the search order already is), so every run emits in lexicographic
 order of the flattened table. A pool never has more processes than parts
 or CPUs, and element objects appear only for the units found.
 
 The census charges the budget per node, one value tried in one cell. The
-parent counts the prefix nodes and adds the parts' counts in task order,
+parent charges the prefix nodes from the set sizes prod_t gcd(n_t, n_i,
+n_j) before it builds any set, and adds the parts' counts in task order,
 raising once the total exceeds the budget. A serial part gets the rest of
 the budget as its cap. The parts of one pool call share the rest equally,
 and a part cut short at its share is run again in the parent on the whole
@@ -79,6 +81,25 @@ def charge(work: int, budget: int, what: str) -> None:
         raise CapacityError(f"{work} {what}, over the budget of {budget}")
 
 
+def _order(k: int) -> list[tuple[int, int]]:
+    """The k^2 cells in the growing-square order 00 01 10 11 02 20 12 21 22 ...
+
+    Cells (s, l) for s = 0, 1, ... come at increasing depths, and so do
+    cells (i, s): ``_plan`` relies on that.
+    """
+    order = []
+    for m in range(k):
+        for a in range(m):
+            order += [(a, m), (m, a)]
+        order.append((m, m))
+    return order
+
+
+def _set_size(moduli: tuple[int, ...], a: int, b: int) -> int:
+    """The size of the candidate set of a cell whose factors are Z/a and Z/b."""
+    return math.prod(math.gcd(n, a, b) for n in moduli)
+
+
 def _candidate_sets(spec: GroupSpec) -> list[list[tuple[int, ...]]]:
     """Per table cell (row-major), the x with d*x = 0 for d = gcd(n_i, n_j).
 
@@ -96,31 +117,47 @@ def _candidate_sets(spec: GroupSpec) -> list[list[tuple[int, ...]]]:
 
 def search_space_size(spec: GroupSpec) -> int:
     """The candidate tables: the product of the cells' candidate-set sizes."""
-    return math.prod(map(len, _plan(spec.moduli)[1]))
+    moduli = spec.moduli
+    return math.prod(_set_size(moduli, a, b) for a in moduli for b in moduli)
+
+
+def _reach(x: tuple[int, ...]) -> int:
+    """One past the last non-zero coordinate of x; 0 for the zero vector."""
+    return max((s + 1 for s, c in enumerate(x) if c), default=0)
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(moduli: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
-    """The cells in search order, their candidate sets, the triples due at each.
+def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
+    """(order, sets, reaches, fixed, anchors): the search order, and per depth
+    the candidates, their ``_reach``es and the triples anchored there.
 
-    The order is the growing square 00 01 10 11 02 20 12 21 22 ...; triple
-    (i, j, l) is due at the depth that fixes the last cell it reads.
+    Triple (i, j, l) is anchored at the depth that fixes the later of cells
+    (i, j) and (j, l). Its due depth, where the last cell it reads is
+    fixed, is max(anchor, left[reach(C[i][j])], right[reach(C[j][l])]),
+    with ``left[r]`` the depth of cell (r - 1, l), ``right[r]`` that of
+    cell (i, r - 1), and 0 for the zero vector (see ``_order``). Triples
+    due at their anchor for every value go to ``fixed``; the others go to
+    ``anchors`` with their ``left`` and ``right``.
     """
     k = len(moduli)
-    order = []
-    for m in range(k):
-        for a in range(m):
-            order += [(a, m), (m, a)]
-        order.append((m, m))
+    order = _order(k)
     depth = {cell: d for d, cell in enumerate(order)}
-    due: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    fixed: list[list[tuple]] = [[] for _ in order]
+    anchors: list[list[tuple]] = [[] for _ in order]
     r = range(k)
     for i, j, l in itertools.product(r, r, r):
-        read = [(i, j), (j, l)] + [(i, s) for s in r] + [(s, l) for s in r]
-        due[max(depth[c] for c in read)].append((i, j, l))
-    sets = _candidate_sets(GroupSpec(moduli))
-    ordered = tuple(sets[i * k + j] for i, j in order)
-    return tuple(order), ordered, tuple(map(tuple, due))
+        anchor = max(depth[i, j], depth[j, l])
+        left = (0,) + tuple(depth[s, l] for s in r)
+        right = (0,) + tuple(depth[i, s] for s in r)
+        if max(left[-1], right[-1]) <= anchor:
+            fixed[anchor].append((i, j, l))
+        else:
+            anchors[anchor].append((i, j, l, left, right))
+    cells = _candidate_sets(GroupSpec(moduli))
+    sets = tuple(tuple(cells[i * k + j]) for i, j in order)
+    reaches = tuple(tuple(map(_reach, values)) for values in sets)
+    fixed_triples, anchored = tuple(map(tuple, fixed)), tuple(map(tuple, anchors))
+    return tuple(order), sets, reaches, fixed_triples, anchored
 
 
 def _part(task: tuple) -> tuple[list[RingStructure], int]:
@@ -128,42 +165,82 @@ def _part(task: tuple) -> tuple[list[RingStructure], int]:
 
     task = (moduli, values of the first cells, cap). A node is one value
     tried in one cell; past ``cap`` nodes the search stops and reports
-    cap + 1. No triple is due before the prefix's last cell, except on rank
-    1, where every table is associative. A triple that fails moves to the
-    front of its depth's list, so the triple that cuts most is tried first.
+    cap + 1. Each triple is tested at its due depth (see ``_plan``). A
+    triple of ``anchors`` due deeper than its anchor is pushed onto the end
+    of that depth's list and popped when the anchor's value changes.
+    Triples anchored in the prefix are scheduled once; a prefix that fails
+    one returns no rings and no nodes. A failing triple of ``fixed`` or
+    ``anchors`` moves to the front of its list, so the triple that cuts
+    most is tried first; pushed triples never move, so each pop removes
+    the triple its push added.
     """
     moduli, prefix, cap = task
-    order, sets, due = _plan(moduli)
-    due = [list(checks) for checks in due]
+    order, sets, reaches, fixed, anchors = _plan(moduli)
+    anchors = [list(anchored) for anchored in anchors]
+    due = [list(triples) for triples in fixed]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
+    reach = [[0] * k for _ in range(k)]
     for (i, j), x in zip(order, prefix):
         table[i][j] = x
+        reach[i][j] = _reach(x)
     found = []
     nodes = 0
+
+    def schedule(anchored: list, now: int) -> Optional[list[int]]:
+        """Test the triples due by depth ``now``, push the rest onto ``due``.
+
+        Returns the depths pushed to, or None (with nothing left pushed)
+        once a triple fails.
+        """
+        pushed = []
+        for n, (i, j, l, left, right) in enumerate(anchored):
+            at = max(left[reach[i][j]], right[reach[j][l]])
+            if at > now:
+                due[at].append((i, j, l))
+                pushed.append(at)
+            elif not associative_triple(moduli, table, i, j, l):
+                if n:
+                    anchored.insert(0, anchored.pop(n))  # tried first next time
+                for at in pushed:
+                    due[at].pop()
+                return None
+        return pushed
 
     def extend(depth: int) -> None:
         nonlocal nodes
         if depth == len(order):
             found.append(tuple(map(tuple, table)))
             return
-        i, j = order[depth]
-        row, checks = table[i], due[depth]
-        for x in sets[depth]:
+        a, b = order[depth]
+        row, reach_row = table[a], reach[a]
+        checks, movable, anchored = due[depth], len(fixed[depth]), anchors[depth]
+        for x, r in zip(sets[depth], reaches[depth]):
             if nodes >= cap:
                 nodes = cap + 1
                 return
             nodes += 1
-            row[j] = x
-            for n, triple in enumerate(checks):
-                if not associative_triple(moduli, table, *triple):
-                    if n:
+            row[b] = x
+            reach_row[b] = r
+            for n, (i, j, l) in enumerate(checks):
+                if not associative_triple(moduli, table, i, j, l):
+                    if 0 < n < movable:
                         checks.insert(0, checks.pop(n))  # tried first next time
                     break
             else:
-                extend(depth + 1)
+                pushed = schedule(anchored, depth)
+                if pushed is not None:
+                    extend(depth + 1)
+                    for at in pushed:
+                        due[at].pop()
 
-    extend(len(prefix))
+    last = len(prefix) - 1  # every prefix cell is fixed before the search
+    if all(
+        all(associative_triple(moduli, table, *triple) for triple in due[d])
+        and schedule(anchors[d], last) is not None
+        for d in range(len(prefix))
+    ):
+        extend(len(prefix))
     spec = GroupSpec(moduli)
     found.sort()
     return [
@@ -178,14 +255,19 @@ def enumerate_multiplications(
 
     Emitted in lexicographic order of the flattened constant table. Every
     node of the search is charged against the budget, and the search
-    raises once the count exceeds it.
+    raises once the count exceeds it. The prefix nodes are charged from
+    the set sizes alone, before any candidate set is built.
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
             f"group order {spec.order} exceeds the search cap {GROUP_ORDER_CAP}"
         )
     budget = config.budget
-    head = _plan(spec.moduli)[1][:PREFIX_CELLS]
+    moduli = spec.moduli
+    sizes = [
+        _set_size(moduli, moduli[a], moduli[b])
+        for a, b in _order(spec.rank)[:PREFIX_CELLS]
+    ]
     spent = 0
 
     def spend(nodes: int) -> None:
@@ -197,23 +279,23 @@ def enumerate_multiplications(
                 "(cell values tried), the budget"
             )
 
-    # nothing is cut before the prefix's last cell, so all its nodes are visited
-    spend(sum(math.prod(len(s) for s in head[: d + 1]) for d in range(len(head))))
-    prefixes = itertools.product(*head)
+    # the parent visits every prefix node; a part whose prefix fails adds none
+    spend(sum(math.prod(sizes[: d + 1]) for d in range(len(sizes))))
+    prefixes = itertools.product(*_plan(moduli)[1][:PREFIX_CELLS])
     if config.workers <= 1:
         for prefix in prefixes:
-            rings, nodes = _part((spec.moduli, prefix, budget - spent))
+            rings, nodes = _part((moduli, prefix, budget - spent))
             spend(nodes)
             yield from rings
         return
-    processes = min(config.workers, math.prod(map(len, head)), os.cpu_count() or 1)
+    processes = min(config.workers, math.prod(sizes), os.cpu_count() or 1)
     with Pool(processes) as pool:
         for chunk in iter(lambda: list(itertools.islice(prefixes, POOL_CHUNK)), []):
             share = (budget - spent) // len(chunk)
-            tasks = [(spec.moduli, prefix, share) for prefix in chunk]
+            tasks = [(moduli, prefix, share) for prefix in chunk]
             for task, (rings, nodes) in zip(tasks, pool.map(_part, tasks)):
                 if nodes > share:  # cut short: finish it here on the whole rest
-                    rings, nodes = _part((spec.moduli, task[1], budget - spent))
+                    rings, nodes = _part((moduli, task[1], budget - spent))
                 spend(nodes)
                 yield from rings
 

@@ -9,15 +9,17 @@ exactly when the order of C[i][j] divides d = gcd(n_i, n_j), that is when
 d*x = 0 (mod n_t) for every coordinate x of C[i][j]; the constructor
 rejects tables violating that. Associativity is the tensor identity
 sum_s C[i][j]_s C[s][l]_t = sum_s C[j][l]_s C[i][s]_t (mod n_t) for all
-i, j, l, t, checked on the table by ``associative_table``.
+i, j, l, t, checked on the table by ``associative_table``, one generator
+triple at a time by ``associative_triple``, which reads a cell only where
+its coefficient is non-zero.
 
 Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
 of the generators. ``product`` applies it to two coordinate tuples and
 ``product_row`` to every element in lexicographic order; ``product_column``
 is its mirror, x*y for every x from the right images e_i*y. ``eval`` is the
 element-object edge, taking and returning ``GroupElement``. ``find_unit``
-screens coordinate tuples a column at a time and builds an element only
-for the unit it returns.
+screens the coordinate tuples with one dot product per generator,
+coordinate and side, and builds an element only for the unit it returns.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
@@ -154,15 +156,24 @@ def cyclic_constants(modulus: int, scale: int) -> StructureConstants:
 def associative_triple(moduli: tuple[int, ...], table, i: int, j: int, l: int) -> bool:
     """Whether (e_i e_j) e_l = e_i (e_j e_l), in every coordinate t.
 
-    Reads only cells (i, j), (j, l), row i and column l of the table.
+    The left side sum_s C[i][j]_s C[s][l] reads cell (s, l) only where
+    C[i][j]_s != 0, and the right side sum_s C[j][l]_s C[i][s] reads cell
+    (i, s) only where C[j][l]_s != 0; no other cell is read, so the census
+    can test a triple before the rest of row i and column l is fixed.
     """
-    ij, jl, row = table[i][j], table[j][l], table[i]
-    column = [r[l] for r in table]
-    for t, n in enumerate(moduli):
+    row = table[i]
+    ij, jl = row[j], table[j][l]
+    r = range(len(moduli))
+    for t in r:
         acc = 0
-        for a, b, down, across in zip(ij, jl, column, row):
-            acc += a * down[t] - b * across[t]
-        if acc % n:
+        for s in r:
+            a = ij[s]
+            if a:
+                acc += a * table[s][l][t]
+            b = jl[s]
+            if b:
+                acc -= b * row[s][t]
+        if acc % moduli[t]:
             return False
     return True
 
@@ -199,23 +210,31 @@ def check_commutativity(constants: StructureConstants) -> bool:
 def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     """The unique two-sided identity, or None.
 
-    Screens every coordinate tuple u at once on u*e = e for each generator
-    e, one ``product_column`` per generator, then on e*u = e (sufficient by
-    bilinearity); a surviving candidate is then verified on both sides
-    against every element, and only the unit returned becomes an element
-    object.
+    Screens the coordinate tuples u one generator e_j and coordinate t at a
+    time: (u*e_j)_t = sum_i u_i C[i][j]_t and (e_j*u)_t = sum_i u_i C[j][i]_t
+    must both be [t == j] mod n_t, one dot product per candidate, and the
+    screen stops once no candidate is left. The screens are sufficient by
+    bilinearity; a survivor is still verified on both sides against every
+    element, and only the unit returned becomes an element object.
     """
-    spec = constants.group
-    k = spec.rank
-    gens = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    spec, table = constants.group, constants.table
     everything = list(all_coords(spec))
-    screens = [constants.product_column(e) for e in gens]
-    for u, *images in zip(everything, *screens):
-        if (
-            images == gens
-            and all(constants.product(e, u) == e for e in gens)
-            and constants.product_row(u) == everything == constants.product_column(u)
-        ):
+    candidates = everything
+    for j, row in enumerate(table):
+        sides = (row, [r[j] for r in table])  # C[j][i] for e_j*u, C[i][j] for u*e_j
+        for t, n in enumerate(spec.moduli):
+            want = int(t == j)
+            for side in sides:
+                coefficients = [c[t] for c in side]
+                candidates = [
+                    u
+                    for u in candidates
+                    if sum(map(operator.mul, u, coefficients)) % n == want
+                ]
+                if not candidates:
+                    return None
+    for u in candidates:
+        if constants.product_row(u) == everything == constants.product_column(u):
             return GroupElement(spec, u)
     return None
 

@@ -142,15 +142,46 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_capacity_is_three(self, monkeypatch):
-        # 2,2 visits 196 search nodes: that budget passes, one less exits 3
+        # 2,2 visits 148 search nodes: that budget passes, one less exits 3
         for workers in ("1", "2"):
-            monkeypatch.setenv("RIGIDITY_BUDGET", "195")
+            monkeypatch.setenv("RIGIDITY_BUDGET", "147")
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 3
-            assert "more than 195 search nodes" in doc["payload"]["message"]
-            monkeypatch.setenv("RIGIDITY_BUDGET", "196")
+            assert "more than 147 search nodes" in doc["payload"]["message"]
+            monkeypatch.setenv("RIGIDITY_BUDGET", "148")
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 0 and doc["payload"]["total"] == 28
+
+    @pytest.mark.parametrize(
+        "group,nodes,counts",
+        [("2,2,2", 114_840, [1688, 988, 532]), ("2,2,4", 386_104, [4864, 2272, 992])],
+    )
+    def test_rank_three_node_boundary(self, monkeypatch, group, nodes, counts):
+        # the exact node count of the census passes, one less exits 3
+        monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes))
+        code, doc = run_json("enumerate", "--group", group)
+        payload = doc["payload"]
+        assert code == 0
+        assert [payload["total"], payload["commutative"], payload["unital"]] == counts
+        monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes - 1))
+        code, doc = run_json("enumerate", "--group", group)
+        assert code == 3
+        assert f"more than {nodes - 1} search nodes" in doc["payload"]["message"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_charge_precedes_candidate_sets(self, monkeypatch, workers):
+        # (Z/2)^12 has 144 cells of 4096 candidates; the prefix charge is
+        # taken from the set sizes, so none of them is built before exit 3
+        built = []
+        monkeypatch.setattr(enumeration, "_candidate_sets", built.append)
+        monkeypatch.setattr(enumeration, "_plan", built.append)
+        monkeypatch.setenv("RIGIDITY_BUDGET", "1")
+        code, doc = run_json(
+            "enumerate", "--group", ",".join(["2"] * 12), "--workers", workers
+        )
+        assert code == 3
+        assert "more than 1 search nodes" in doc["payload"]["message"]
+        assert built == []
 
     def test_node_charge_stops_search(self, monkeypatch):
         # 2,4,4 has 3.4e10 candidate tables; the search itself meets the budget

@@ -21,7 +21,7 @@ from ringrigidity import enumeration
 from conftest import exhaustive_census, factor_sequences, object_path_census
 
 # 2,2 visits exactly this many search nodes (cell values tried)
-KLEIN_NODES = 196
+KLEIN_NODES = 148
 
 
 def coords_tables(spec, config=SearchConfig()):
@@ -280,6 +280,45 @@ class TestProductGroups:
         first, second = report.unital_examples[:2]
         assert first.mult.table != second.mult.table
         assert first.unit is not None and second.unit is not None
+
+
+def primary_parts(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The p-primary parts of Z/n_1 x ... x Z/n_k, one factor list per prime."""
+    parts = {}
+    for n in moduli:
+        p = 2
+        while n > 1:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            if q > 1:
+                parts.setdefault(p, []).append(q)
+            p += 1
+    return [tuple(parts[p]) for p in sorted(parts)]
+
+
+class TestPrimaryDecomposition:
+    def test_parts(self):
+        assert primary_parts((6, 9)) == [(2,), (3, 9)]
+        assert primary_parts((12,)) == [(4,), (3,)]
+        assert primary_parts((2, 2, 4)) == [(2, 2, 4)]
+
+    @pytest.mark.parametrize(
+        "group", ["2,6", "2,10", "2,12", "3,6", "6,9", "6,6", "12", "18"]
+    )
+    def test_counts_multiply_over_primary_parts(self, group):
+        # a finite ring is the product of its p-primary parts: G_p G_q = 0
+        # for p != q by bilinearity, so the total, commutative and unital
+        # counts of G are the products of those of its parts
+        def counts(spec):
+            report = rigidity_report(spec)
+            return report.total, report.commutative_count, report.unital_count
+
+        spec = GroupSpec.parse(group)
+        parts = [counts(GroupSpec(part)) for part in primary_parts(spec.moduli)]
+        assert len(parts) > 1
+        assert counts(spec) == tuple(map(math.prod, zip(*parts)))
 
 
 class TestDeterminismAndParallelism:

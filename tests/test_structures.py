@@ -16,9 +16,11 @@ from ringrigidity import (
     check_commutativity,
     check_distributivity_blackbox,
     cyclic_constants,
+    enumerate_multiplications,
     find_unit,
 )
-from ringrigidity.structures import DISTRIBUTIVITY_SAMPLES
+from ringrigidity.abelian import all_coords
+from ringrigidity.structures import DISTRIBUTIVITY_SAMPLES, associative_triple
 
 from conftest import (
     allowed_entries,
@@ -154,6 +156,67 @@ class TestAssociativity:
                 )
 
 
+def full_read_triple(moduli, table, i, j, l) -> bool:
+    """The triple identity summed over every s, zero coefficients included."""
+    return all(
+        sum(
+            table[i][j][s] * table[s][l][t] - table[j][l][s] * table[i][s][t]
+            for s in range(len(moduli))
+        )
+        % n
+        == 0
+        for t, n in enumerate(moduli)
+    )
+
+
+def triples(k: int):
+    return itertools.product(range(k), repeat=3)
+
+
+class TestAssociativeTriple:
+    SHAPES = [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)]
+
+    def test_matches_full_read_formula(self):
+        rng = random.Random(23)
+        for moduli in self.SHAPES:
+            spec = GroupSpec(moduli)
+            for _ in range(8):
+                table = random_constants(spec, rng).table
+                for i, j, l in triples(spec.rank):
+                    assert associative_triple(moduli, table, i, j, l) == (
+                        full_read_triple(moduli, table, i, j, l)
+                    ), (moduli, table, (i, j, l))
+
+    def test_reads_only_the_support(self):
+        # every cell outside (i, j), (j, l), (s, l) for s in the support of
+        # C[i][j] and (i, s) for s in the support of C[j][l] is None
+        rng = random.Random(29)
+        for moduli in self.SHAPES:
+            spec = GroupSpec(moduli)
+            k = spec.rank
+            for _ in range(8):
+                table = random_constants(spec, rng).table
+                for i, j, l in triples(k):
+                    read = {(i, j), (j, l)}
+                    read |= {(s, l) for s, a in enumerate(table[i][j]) if a}
+                    read |= {(i, s) for s, b in enumerate(table[j][l]) if b}
+                    sparse = [
+                        [table[a][b] if (a, b) in read else None for b in range(k)]
+                        for a in range(k)
+                    ]
+                    assert associative_triple(moduli, sparse, i, j, l) == (
+                        full_read_triple(moduli, table, i, j, l)
+                    )
+
+    def test_decided_while_row_one_is_unknown(self):
+        # on Z/2 x Z/2, triple (0, 0, 1) reads cell (s, 1) where C[0][0]_s != 0
+        # and cell (0, s) where C[0][1]_s != 0; with C[0][0] zero or e_0,
+        # every cell it reads lies in row 0
+        unknown = [None, None]
+        assert not associative_triple((2, 2), [[(0, 0), (0, 1)], unknown], 0, 0, 1)
+        assert associative_triple((2, 2), [[(1, 0), (1, 0)], unknown], 0, 0, 1)
+
+
 class TestCommutativity:
     def test_cyclic_tables_commute(self):
         assert check_commutativity(cyclic_constants(7, 3))
@@ -222,6 +285,27 @@ class TestFindUnit:
     def test_klein_field_unit(self):
         c = klein_field_constants()
         assert find_unit(c) == c.group.element((1, 0))
+
+    @pytest.mark.parametrize(
+        "moduli",
+        [m for m in factor_sequences(12) if len(m) == 2] + [(2, 2, 2)],
+        ids=lambda m: ",".join(map(str, m)),
+    )
+    def test_census_units_match_two_sided_scan(self, moduli):
+        # every ring of the census: the unit is the u with u*x = x = x*u for
+        # all x, found by scanning every product
+        spec = GroupSpec(moduli)
+        elements = list(all_coords(spec))
+        for ring in enumerate_multiplications(spec):
+            c = ring.mult
+            products = {(x, y): c.product(x, y) for x in elements for y in elements}
+            units = [
+                u
+                for u in elements
+                if all(products[u, x] == x == products[x, u] for x in elements)
+            ]
+            assert len(units) <= 1
+            assert ring.unit == (spec.element(units[0]) if units else None), c.table
 
 
 def componentwise_constants(spec: GroupSpec) -> StructureConstants:
