@@ -8,15 +8,19 @@ only the associative ones become objects.
 
 The search assigns one cell at a time in the growing-square order
 00 01 10 11 02 20 12 21 22 ... and tests each generator triple (i, j, l)
-as soon as every cell it reads is fixed: cells (i, j) and (j, l), cell
-(s, l) where C[i][j]_s != 0 and cell (i, s) where C[j][l]_s != 0. So a
-failing partial table is cut with all its extensions. The values of the
-first two cells name the parts of the search. A serial run loops
-``_part`` over the parts and a pool maps it over the same parts,
-``POOL_CHUNK`` at a time; each part sorts its tables row-major (for rank
-<= 2 the search order already is), so every run emits in lexicographic
-order of the flattened table. A pool never has more processes than parts
-or CPUs, and element objects appear only for the units found.
+as soon as every cell it reads is fixed, so a failing partial table is
+cut with all its extensions. The triple reads cells (i, j) and (j, l),
+cell (s, l) where C[i][j]_s != 0 and cell (i, s) where C[j][l]_s != 0.
+The depth of the last of these depends only on the values of cells
+(i, j) and (j, l), so each depth has one fixed list of the triples that
+may fall due there, and a node tests those whose looked-up due depth is
+its own. The values of the first two cells name the parts of the search.
+A serial run loops ``_part`` over the parts and a pool maps it over the
+same parts, ``POOL_CHUNK`` at a time; each part sorts its tables
+row-major (for rank <= 2 the search order already is), so every run
+emits in lexicographic order of the flattened table. A pool never has
+more processes than parts or CPUs, and element objects appear only for
+the units found.
 
 The census charges the budget per node, one value tried in one cell. The
 parent charges the prefix nodes from the set sizes prod_t gcd(n_t, n_i,
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterator, Optional
 
-from .abelian import GroupSpec, all_coords
+from .abelian import GroupSpec
 from .errors import CapacityError, InvariantViolation, UsageError
 from .structures import RingStructure, StructureConstants, associative_triple
 
@@ -100,14 +104,12 @@ def _set_size(moduli: tuple[int, ...], a: int, b: int) -> int:
     return math.prod(math.gcd(n, a, b) for n in moduli)
 
 
-def _candidate_sets(spec: GroupSpec) -> list[list[tuple[int, ...]]]:
+def _candidate_sets(moduli: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
     """Per table cell (row-major), the x with d*x = 0 for d = gcd(n_i, n_j).
 
     In a factor Z/n that allows the multiples of n / gcd(n, d), so each set
     comes out in lexicographic order without a scan of the group.
     """
-    all_coords(spec)  # the element cap refuses huge groups, as the scan did
-    moduli = spec.moduli
     return [
         list(itertools.product(*(range(0, n, n // math.gcd(n, a, b)) for n in moduli)))
         for a in moduli
@@ -128,36 +130,34 @@ def _reach(x: tuple[int, ...]) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(order, sets, reaches, fixed, anchors): the search order, and per depth
-    the candidates, their ``_reach``es and the triples anchored there.
+    """(order, sets, reaches, tests): the search order, and per depth the
+    candidates, their ``_reach``es and the triples that may be due there.
 
-    Triple (i, j, l) is anchored at the depth that fixes the later of cells
-    (i, j) and (j, l). Its due depth, where the last cell it reads is
-    fixed, is max(anchor, left[reach(C[i][j])], right[reach(C[j][l])]),
-    with ``left[r]`` the depth of cell (r - 1, l), ``right[r]`` that of
-    cell (i, r - 1), and 0 for the zero vector (see ``_order``). Triples
-    due at their anchor for every value go to ``fixed``; the others go to
-    ``anchors`` with their ``left`` and ``right``.
+    Triple (i, j, l) is due where the last cell it reads is fixed:
+    due[reach(C[i][j])][reach(C[j][l])] with due[ra][rb] = max(anchor,
+    left[ra], right[rb]), where ``anchor`` is the depth of the later of
+    cells (i, j) and (j, l), ``left[r]`` that of cell (r - 1, l),
+    ``right[r]`` that of cell (i, r - 1), and 0 for the zero vector (see
+    ``_order``). The triple and its table are listed in ``tests[d]`` for
+    every depth d the table gives on the reaches those two cells' sets hold.
     """
     k = len(moduli)
     order = _order(k)
     depth = {cell: d for d, cell in enumerate(order)}
-    fixed: list[list[tuple]] = [[] for _ in order]
-    anchors: list[list[tuple]] = [[] for _ in order]
+    cells = _candidate_sets(moduli)
+    sets = tuple(tuple(cells[i * k + j]) for i, j in order)
+    reaches = tuple(tuple(map(_reach, values)) for values in sets)
+    tests: list[list[tuple]] = [[] for _ in order]
     r = range(k)
     for i, j, l in itertools.product(r, r, r):
         anchor = max(depth[i, j], depth[j, l])
         left = (0,) + tuple(depth[s, l] for s in r)
         right = (0,) + tuple(depth[i, s] for s in r)
-        if max(left[-1], right[-1]) <= anchor:
-            fixed[anchor].append((i, j, l))
-        else:
-            anchors[anchor].append((i, j, l, left, right))
-    cells = _candidate_sets(GroupSpec(moduli))
-    sets = tuple(tuple(cells[i * k + j]) for i, j in order)
-    reaches = tuple(tuple(map(_reach, values)) for values in sets)
-    fixed_triples, anchored = tuple(map(tuple, fixed)), tuple(map(tuple, anchors))
-    return tuple(order), sets, reaches, fixed_triples, anchored
+        due = tuple(tuple(max(anchor, a, b) for b in right) for a in left)
+        held = itertools.product(set(reaches[depth[i, j]]), set(reaches[depth[j, l]]))
+        for d in {due[ra][rb] for ra, rb in held}:
+            tests[d].append((i, j, l, due))
+    return tuple(order), sets, reaches, tuple(map(tuple, tests))
 
 
 def _part(task: tuple) -> tuple[list[RingStructure], int]:
@@ -165,19 +165,16 @@ def _part(task: tuple) -> tuple[list[RingStructure], int]:
 
     task = (moduli, values of the first cells, cap). A node is one value
     tried in one cell; past ``cap`` nodes the search stops and reports
-    cap + 1. Each triple is tested at its due depth (see ``_plan``). A
-    triple of ``anchors`` due deeper than its anchor is pushed onto the end
-    of that depth's list and popped when the anchor's value changes.
-    Triples anchored in the prefix are scheduled once; a prefix that fails
-    one returns no rings and no nodes. A failing triple of ``fixed`` or
-    ``anchors`` moves to the front of its list, so the triple that cuts
-    most is tried first; pushed triples never move, so each pop removes
-    the triple its push added.
+    cap + 1. At each depth the search tests the entries of ``tests`` (see
+    ``_plan``) whose due depth, looked up from the reaches of the cells
+    fixed so far, is that depth, so each triple is tested once per path. A
+    failing triple moves to the front of its list, so the triple that cuts
+    most is tried first. The prefix cells pass the same tests, depth by
+    depth; a prefix that fails one returns no rings and no nodes.
     """
     moduli, prefix, cap = task
-    order, sets, reaches, fixed, anchors = _plan(moduli)
-    anchors = [list(anchored) for anchored in anchors]
-    due = [list(triples) for triples in fixed]
+    order, sets, reaches, tests = _plan(moduli)
+    tests = [list(listed) for listed in tests]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
     reach = [[0] * k for _ in range(k)]
@@ -187,25 +184,16 @@ def _part(task: tuple) -> tuple[list[RingStructure], int]:
     found = []
     nodes = 0
 
-    def schedule(anchored: list, now: int) -> Optional[list[int]]:
-        """Test the triples due by depth ``now``, push the rest onto ``due``.
-
-        Returns the depths pushed to, or None (with nothing left pushed)
-        once a triple fails.
-        """
-        pushed = []
-        for n, (i, j, l, left, right) in enumerate(anchored):
-            at = max(left[reach[i][j]], right[reach[j][l]])
-            if at > now:
-                due[at].append((i, j, l))
-                pushed.append(at)
-            elif not associative_triple(moduli, table, i, j, l):
+    def passes(depth: int) -> bool:
+        checks = tests[depth]
+        for n, (i, j, l, due) in enumerate(checks):
+            if due[reach[i][j]][reach[j][l]] == depth and not associative_triple(
+                moduli, table, i, j, l
+            ):
                 if n:
-                    anchored.insert(0, anchored.pop(n))  # tried first next time
-                for at in pushed:
-                    due[at].pop()
-                return None
-        return pushed
+                    checks.insert(0, checks.pop(n))  # tried first next time
+                return False
+        return True
 
     def extend(depth: int) -> None:
         nonlocal nodes
@@ -214,7 +202,6 @@ def _part(task: tuple) -> tuple[list[RingStructure], int]:
             return
         a, b = order[depth]
         row, reach_row = table[a], reach[a]
-        checks, movable, anchored = due[depth], len(fixed[depth]), anchors[depth]
         for x, r in zip(sets[depth], reaches[depth]):
             if nodes >= cap:
                 nodes = cap + 1
@@ -222,24 +209,10 @@ def _part(task: tuple) -> tuple[list[RingStructure], int]:
             nodes += 1
             row[b] = x
             reach_row[b] = r
-            for n, (i, j, l) in enumerate(checks):
-                if not associative_triple(moduli, table, i, j, l):
-                    if 0 < n < movable:
-                        checks.insert(0, checks.pop(n))  # tried first next time
-                    break
-            else:
-                pushed = schedule(anchored, depth)
-                if pushed is not None:
-                    extend(depth + 1)
-                    for at in pushed:
-                        due[at].pop()
+            if passes(depth):
+                extend(depth + 1)
 
-    last = len(prefix) - 1  # every prefix cell is fixed before the search
-    if all(
-        all(associative_triple(moduli, table, *triple) for triple in due[d])
-        and schedule(anchors[d], last) is not None
-        for d in range(len(prefix))
-    ):
+    if all(passes(d) for d in range(len(prefix))):
         extend(len(prefix))
     spec = GroupSpec(moduli)
     found.sort()

@@ -134,8 +134,11 @@ def scaled_identity_failure(a: int, n: int, m: int, k: int) -> Optional[str]:
 class IdentitySuiteReport:
     scale: int
     samples: int
-    ok: bool
     failure: Optional[str]
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 def scaled_identity_suite(a: int, bound: int, samples: int) -> IdentitySuiteReport:
@@ -146,18 +149,21 @@ def scaled_identity_suite(a: int, bound: int, samples: int) -> IdentitySuiteRepo
     for n, m, k in window.random_triples(samples, seed=0):
         failure = scaled_identity_failure(a, n, m, k)
         if failure is not None:
-            return IdentitySuiteReport(a, samples, False, failure)
-    return IdentitySuiteReport(a, samples, True, None)
+            return IdentitySuiteReport(a, samples, failure)
+    return IdentitySuiteReport(a, samples, None)
 
 
 @dataclass(frozen=True)
 class ScaledFormReport:
     """Outcome of matching a black-box multiplication against the scaled family."""
 
-    ok: bool
     scale: Optional[int]
     counterexample: Optional[tuple[int, int]]
     rejection: Optional[DistributivityCounterexample]
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None and self.rejection is None
 
     @property
     def rejected(self) -> bool:
@@ -181,7 +187,7 @@ def verify_scaled_form(
     """
     dist = check_distributivity_blackbox(mul, window, seed)
     if not dist.ok:
-        return ScaledFormReport(False, None, None, dist.counterexample)
+        return ScaledFormReport(None, None, dist.counterexample)
     a = extract_scale(mul)
     b = window.bound
     checked(a * b * b, f"the scaled form at (a={a}, n={-b}, m={-b})")
@@ -192,8 +198,8 @@ def verify_scaled_form(
         row = list(map(mul, repeat(n), ms))
         if row != closed:
             m = next(m for m, got in zip(ms, row) if got != an * m)
-            return ScaledFormReport(False, a, (n, m), None)
-    return ScaledFormReport(True, a, None, None)
+            return ScaledFormReport(a, (n, m), None)
+    return ScaledFormReport(a, None, None)
 
 
 # ---------------------------------------------------------------------------

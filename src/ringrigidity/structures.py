@@ -274,9 +274,12 @@ class DistributivityCounterexample:
 
 @dataclass(frozen=True)
 class DistributivityReport:
-    ok: bool
     counterexample: Optional[DistributivityCounterexample]
     checked: int
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
 
 def _dist_at(mul: BlackBoxMul, n: int, m: int, k: int):
@@ -320,5 +323,5 @@ def check_distributivity_blackbox(
     for checked_count, (n, m, k) in enumerate(triples, 1):
         bad = _dist_at(mul, n, m, k)
         if bad is not None:
-            return DistributivityReport(False, bad, checked_count)
-    return DistributivityReport(True, None, checked_count)
+            return DistributivityReport(bad, checked_count)
+    return DistributivityReport(None, checked_count)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -319,6 +320,40 @@ class TestPrimaryDecomposition:
         parts = [counts(GroupSpec(part)) for part in primary_parts(spec.moduli)]
         assert len(parts) > 1
         assert counts(spec) == tuple(map(math.prod, zip(*parts)))
+
+
+class TestSchedule:
+    @pytest.mark.parametrize(
+        "moduli",
+        [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)],
+        ids=lambda m: ",".join(map(str, m)),
+    )
+    def test_each_triple_due_once_at_its_last_read_cell(self, moduli):
+        # the search tests an entry of tests[d] when its table, looked up at
+        # the reaches of cells (i, j) and (j, l), gives d; for every pair of
+        # values that must happen at exactly one depth, the deepest of the
+        # cells the triple reads: (i, j), (j, l), (s, l) where C[i][j]_s != 0
+        # and (i, s) where C[j][l]_s != 0
+        order, sets, _, tests = enumeration._plan(moduli)
+        depth = {cell: d for d, cell in enumerate(order)}
+        r = range(len(moduli))
+
+        def reach(x):
+            return max((s + 1 for s in r if x[s]), default=0)
+
+        for i, j, l in itertools.product(r, r, r):
+            listed = [
+                (d, due)
+                for d, entries in enumerate(tests)
+                for *triple, due in entries
+                if triple == [i, j, l]
+            ]
+            for x in sets[depth[i, j]]:
+                for y in sets[depth[j, l]]:
+                    read = [(i, j), (j, l)]
+                    read += [(s, l) for s in r if x[s]] + [(i, s) for s in r if y[s]]
+                    tested = [d for d, due in listed if due[reach(x)][reach(y)] == d]
+                    assert tested == [max(depth[c] for c in read)], (i, j, l, x, y)
 
 
 class TestDeterminismAndParallelism:
