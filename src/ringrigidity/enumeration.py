@@ -14,22 +14,25 @@ cell (s, l) where C[i][j]_s != 0 and cell (i, s) where C[j][l]_s != 0.
 The depth of the last of these depends only on the values of cells
 (i, j) and (j, l), so each depth has one fixed list of the triples that
 may fall due there, and a node tests those whose looked-up due depth is
-its own. The values of the first two cells name the parts of the search.
-A serial run loops ``_part`` over the parts and a pool maps it over the
-same parts, ``POOL_CHUNK`` at a time; each part sorts its tables
-row-major (for rank <= 2 the search order already is), so every run
-emits in lexicographic order of the flattened table. A pool never has
-more processes than parts or CPUs, and element objects appear only for
-the units found.
+its own. The values of the first two cells name the parts of the search,
+and one loop maps ``_part`` over them for every worker count: a pool
+takes ``POOL_CHUNK`` parts per call when it would have more than one
+process (it never has more than parts or CPUs), else the built-in ``map``
+runs one part at a time in-process. Each part sorts its tables row-major
+(for rank <= 2 the search order already is), so every run emits in
+lexicographic order of the flattened table. Element objects appear only
+for the units found.
 
 The census charges the budget per node, one value tried in one cell. The
 parent charges the prefix nodes from the set sizes prod_t gcd(n_t, n_i,
 n_j) before it builds any set, and adds the parts' counts in task order,
-raising once the total exceeds the budget. A serial part gets the rest of
-the budget as its cap. The parts of one pool call share the rest equally,
-and a part cut short at its share is run again in the parent on the whole
-rest. So the verdict is the same for every worker count, and a pool does
-at most about twice the budget's work before it.
+raising once the total exceeds the budget. The parts of one call share
+the rest of the budget equally, so a serial part's cap is the whole rest.
+A part cut short at a share below the current rest is run again in the
+parent on the whole rest; one cut short at the whole rest needs no second
+run, so a serial run never runs a part twice. So the verdict is the same
+for every worker count, and a pool does at most about twice the budget's
+work before it.
 
 On Z/N both ``rigidity_report`` and ``classify_cyclic`` read one checked
 stream: each ring's ``product_row``s are compared with the closed form
@@ -47,6 +50,7 @@ the ones that are distributive and associative over addition mod N.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -104,19 +108,6 @@ def _set_size(moduli: tuple[int, ...], a: int, b: int) -> int:
     return math.prod(math.gcd(n, a, b) for n in moduli)
 
 
-def _candidate_sets(moduli: tuple[int, ...]) -> list[list[tuple[int, ...]]]:
-    """Per table cell (row-major), the x with d*x = 0 for d = gcd(n_i, n_j).
-
-    In a factor Z/n that allows the multiples of n / gcd(n, d), so each set
-    comes out in lexicographic order without a scan of the group.
-    """
-    return [
-        list(itertools.product(*(range(0, n, n // math.gcd(n, a, b)) for n in moduli)))
-        for a in moduli
-        for b in moduli
-    ]
-
-
 def search_space_size(spec: GroupSpec) -> int:
     """The candidate tables: the product of the cells' candidate-set sizes."""
     moduli = spec.moduli
@@ -133,6 +124,10 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
     """(order, sets, reaches, tests): the search order, and per depth the
     candidates, their ``_reach``es and the triples that may be due there.
 
+    The candidates of cell (i, j) are the x with d*x = 0 for d = gcd(n_i,
+    n_j): in a factor Z/n the multiples of n / gcd(n, d), so each set comes
+    out in lexicographic order without a scan of the group.
+
     Triple (i, j, l) is due where the last cell it reads is fixed:
     due[reach(C[i][j])][reach(C[j][l])] with due[ra][rb] = max(anchor,
     left[ra], right[rb]), where ``anchor`` is the depth of the later of
@@ -144,8 +139,10 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
     k = len(moduli)
     order = _order(k)
     depth = {cell: d for d, cell in enumerate(order)}
-    cells = _candidate_sets(moduli)
-    sets = tuple(tuple(cells[i * k + j]) for i, j in order)
+    sets = tuple(
+        tuple(itertools.product(*(range(0, n, n // math.gcd(n, d)) for n in moduli)))
+        for d in (math.gcd(moduli[i], moduli[j]) for i, j in order)
+    )
     reaches = tuple(tuple(map(_reach, values)) for values in sets)
     tests: list[list[tuple]] = [[] for _ in order]
     r = range(k)
@@ -255,20 +252,15 @@ def enumerate_multiplications(
     # the parent visits every prefix node; a part whose prefix fails adds none
     spend(sum(math.prod(sizes[: d + 1]) for d in range(len(sizes))))
     prefixes = itertools.product(*_plan(moduli)[1][:PREFIX_CELLS])
-    if config.workers <= 1:
-        for prefix in prefixes:
-            rings, nodes = _part((moduli, prefix, budget - spent))
-            spend(nodes)
-            yield from rings
-        return
     processes = min(config.workers, math.prod(sizes), os.cpu_count() or 1)
-    with Pool(processes) as pool:
-        for chunk in iter(lambda: list(itertools.islice(prefixes, POOL_CHUNK)), []):
+    with Pool(processes) if processes > 1 else contextlib.nullcontext() as pool:
+        run, size = (map, 1) if pool is None else (pool.map, POOL_CHUNK)
+        for chunk in iter(lambda: list(itertools.islice(prefixes, size)), []):
             share = (budget - spent) // len(chunk)
             tasks = [(moduli, prefix, share) for prefix in chunk]
-            for task, (rings, nodes) in zip(tasks, pool.map(_part, tasks)):
-                if nodes > share:  # cut short: finish it here on the whole rest
-                    rings, nodes = _part((moduli, task[1], budget - spent))
+            for prefix, (rings, nodes) in zip(chunk, run(_part, tasks)):
+                if nodes > share and share < budget - spent:  # cut short below the rest
+                    rings, nodes = _part((moduli, prefix, budget - spent))
                 spend(nodes)
                 yield from rings
 

@@ -110,12 +110,8 @@ class StructureConstants:
 
     def product(self, x, y) -> tuple[int, ...]:
         """x*y = sum_j y_j (x*e_j) on coordinate tuples, reduced."""
-        acc = [0] * self.group.rank
-        for yj, image in zip(y, self._left_images(x)):
-            if yj:
-                for t, c in enumerate(image):
-                    acc[t] += yj * c
-        return tuple(map(operator.mod, acc, self.group.moduli))
+        (image,) = self._images(y, [self._left_images(x)])
+        return tuple(map(operator.mod, image, self.group.moduli))
 
     def eval(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """The bilinear product of g and h: sum of g_i * h_j * C[i][j]."""

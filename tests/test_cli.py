@@ -153,27 +153,59 @@ class TestExitCodes:
             assert code == 0 and doc["payload"]["total"] == 28
 
     @pytest.mark.parametrize(
-        "group,nodes,counts",
-        [("2,2,2", 114_840, [1688, 988, 532]), ("2,2,4", 386_104, [4864, 2272, 992])],
+        "group,nodes,counts,workers",
+        [
+            pytest.param(
+                "2,2,2", 114_840, [1688, 988, 532], "1", id="2,2,2-114840-counts0"
+            ),
+            # a part's share is 1,793 nodes and the largest part has 4,504,
+            # so the pool's parts are cut short and run again in the parent
+            pytest.param(
+                "2,2,2", 114_840, [1688, 988, 532], "2", id="2,2,2-114840-counts0-workers2"
+            ),
+            pytest.param(
+                "2,2,4", 386_104, [4864, 2272, 992], "1", id="2,2,4-386104-counts1"
+            ),
+        ],
     )
-    def test_rank_three_node_boundary(self, monkeypatch, group, nodes, counts):
+    def test_rank_three_node_boundary(self, monkeypatch, group, nodes, counts, workers):
         # the exact node count of the census passes, one less exits 3
         monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes))
-        code, doc = run_json("enumerate", "--group", group)
+        code, doc = run_json("enumerate", "--group", group, "--workers", workers)
         payload = doc["payload"]
         assert code == 0
         assert [payload["total"], payload["commutative"], payload["unital"]] == counts
         monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes - 1))
-        code, doc = run_json("enumerate", "--group", group)
+        code, doc = run_json("enumerate", "--group", group, "--workers", workers)
         assert code == 3
         assert f"more than {nodes - 1} search nodes" in doc["payload"]["message"]
 
+    def test_serial_run_never_reruns_a_part(self, monkeypatch):
+        # a serial part's cap is the whole rest of the budget, so each of the
+        # 64 prefixes of 2,2,4 runs once, and none twice when the budget is short
+        part = enumeration._part
+        prefixes = []
+
+        def spy(task):
+            prefixes.append(task[1])
+            return part(task)
+
+        monkeypatch.setattr(enumeration, "_part", spy)
+        monkeypatch.delenv("RIGIDITY_BUDGET", raising=False)
+        code, doc = run_json("enumerate", "--group", "2,2,4")
+        assert code == 0
+        assert len(prefixes) == len(set(prefixes)) == 64
+        prefixes.clear()
+        monkeypatch.setenv("RIGIDITY_BUDGET", "386103")
+        code, doc = run_json("enumerate", "--group", "2,2,4")
+        assert code == 3
+        assert len(prefixes) == len(set(prefixes))
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_charge_precedes_candidate_sets(self, monkeypatch, workers):
-        # (Z/2)^12 has 144 cells of 4096 candidates; the prefix charge is
-        # taken from the set sizes, so none of them is built before exit 3
+        # (Z/2)^12 has 144 cells of 4096 candidates, all built by ``_plan``;
+        # the prefix charge is taken from the set sizes, so it never runs
         built = []
-        monkeypatch.setattr(enumeration, "_candidate_sets", built.append)
         monkeypatch.setattr(enumeration, "_plan", built.append)
         monkeypatch.setenv("RIGIDITY_BUDGET", "1")
         code, doc = run_json(

@@ -383,9 +383,10 @@ class TestDeterminismAndParallelism:
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
         assert coords_tables(spec, SearchConfig(workers=2)) == serial
-        # 8 one-cell tasks bound the pool when CPUs and workers are many
+        # 8 one-cell tasks bound the pool when CPUs and workers are many;
+        # one CPU runs the parts in-process, with no pool at all
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
-        assert serial_pool.sizes == [3, 1, 2, 8]
+        assert serial_pool.sizes == [3, 2, 8]
 
     def test_pool_maps_two_cell_parts(self, serial_pool):
         # 4 values of cell 00 times 4 of cell 01: 16 parts, not 4
