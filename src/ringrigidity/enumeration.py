@@ -36,8 +36,10 @@ work before it.
 
 On Z/N both ``rigidity_report`` and ``classify_cyclic`` read one checked
 stream: each ring's ``product_row``s are compared with the closed form
-n*m = scale*n*m one row at a time, so the check makes no element objects
-and holds O(N) products, and a mismatch raises.
+n*m = scale*n*m one row at a time, so the check makes no element objects,
+and a mismatch raises. The N closed rows are built once per modulus,
+after the charge (N^2 list slots over N shared tuples); the kernel still
+computes every row of every ring.
 
 ``charge`` is the up-front budget gate of the other work: a Z/N census
 charges the N rings x N^2 products of that check, and the CLI the work
@@ -286,15 +288,22 @@ class RigidityReport:
 def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[RingStructure]:
     """The census of Z/N, each ring checked against scale*n*m, scale = mul(1, 1).
 
-    A mismatch contradicts what the enumeration guarantees, so it raises
-    rather than reports.
+    Row x of the ring of scale a must equal ``closed[a*x % n]``, the row
+    c*m of c = a*x. The N closed rows are built once, after the N^3
+    charge, so an over-budget N allocates nothing; their N^2 list slots
+    over N shared tuples are bounded by budget^(2/3). ``product_row`` is
+    called for every ring and every x and its output is never reused: the
+    kernel is what is checked. A mismatch contradicts what the enumeration
+    guarantees, so it raises rather than reports.
     """
     n = spec.moduli[0]
     charge(n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)")
+    residues = [(m,) for m in range(n)]
+    closed = [[residues[c * m % n] for m in range(n)] for c in range(n)]
     for ring in enumerate_multiplications(spec, config):
         scale = ring.mult.table[0][0][0]
         for x in range(n):
-            if ring.mult.product_row((x,)) != [(scale * x * m % n,) for m in range(n)]:
+            if ring.mult.product_row((x,)) != closed[scale * x % n]:
                 raise InvariantViolation(
                     f"multiplication on Z/{n} is not the scaled form of its "
                     f"own mul(1,1) = {scale}"
@@ -391,8 +400,10 @@ def full_table_oracle(modulus: int) -> frozenset[FullTable]:
 
     Deliberately ignorant of the structure-constant pipeline: tables are
     raw tuples, distributivity and associativity are checked directly over
-    all triples. The survivor set is the ground truth the enumeration is
-    compared against.
+    all triples. The tables are walked as N-tuples of the N^N possible
+    rows, so no table is sliced out of a flat tuple, and every one of the
+    N^(N^2) tables is still decided. The survivor set is the ground truth
+    the enumeration is compared against.
     """
     if modulus > FULL_TABLE_CAP:
         raise CapacityError(
@@ -400,10 +411,8 @@ def full_table_oracle(modulus: int) -> frozenset[FullTable]:
             f"{modulus} ({modulus}^{modulus * modulus} tables)"
         )
     survivors = []
-    for flat in itertools.product(range(modulus), repeat=modulus * modulus):
-        table = tuple(
-            flat[i * modulus : (i + 1) * modulus] for i in range(modulus)
-        )
+    rows = list(itertools.product(range(modulus), repeat=modulus))
+    for table in itertools.product(rows, repeat=modulus):
         if _table_distributive(table, modulus) and _table_associative(table, modulus):
             survivors.append(table)
     return frozenset(survivors)

@@ -122,14 +122,17 @@ class StructureConstants:
     def _span(self, images) -> list[tuple[int, ...]]:
         """sum_j y_j images[j] for every y in lexicographic order, reduced.
 
-        Each coordinate column is built generator by generator, one
-        multiply-add per generator per cell; no element objects are made.
+        Each coordinate column starts as the first generator's reduced
+        multiples m*images[0] for m < n_0; every later generator adds its
+        multiples, one multiply-add per cell. No element objects are made.
         """
         moduli = self.group.moduli
+        (first, n0), *later = zip(images, moduli)
         columns = []
         for t, n in enumerate(moduli):
-            column = [0]
-            for image, nj in zip(images, moduli):
+            c = first[t]
+            column = [m * c % n for m in range(n0)]
+            for image, nj in later:
                 c = image[t]
                 column = [(a + m * c) % n for a in column for m in range(nj)]
             columns.append(column)

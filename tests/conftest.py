@@ -140,6 +140,23 @@ def full_mult_table(constants: StructureConstants) -> dict:
     return {(g, h): constants.eval(g, h) for g in elements for h in elements}
 
 
+def _shift_product(monkeypatch, scale: int, x: int) -> None:
+    """Make row x of the Z/6 ring of ``scale`` read one more at entry 3."""
+    original = StructureConstants.product_row
+
+    def shifted(self, y):
+        row = original(self, y)
+        if (
+            self.group.moduli == (6,)
+            and self.table[0][0] == (scale,)
+            and tuple(y) == (x,)
+        ):
+            row[3] = ((row[3][0] + 1) % 6,)
+        return row
+
+    monkeypatch.setattr(StructureConstants, "product_row", shifted)
+
+
 @pytest.fixture
 def shifted_product(monkeypatch):
     """Break the scaled form on Z/6 at scale 1: the product 2*3 reads 1, not 0.
@@ -148,19 +165,18 @@ def shifted_product(monkeypatch):
     and unit checks never read that row, so the ring still reaches the
     scaled-form check, which must catch it.
     """
-    original = StructureConstants.product_row
+    _shift_product(monkeypatch, 1, 2)
 
-    def shifted(self, x):
-        row = original(self, x)
-        if (
-            self.group.moduli == (6,)
-            and self.table[0][0] == (1,)
-            and tuple(x) == (2,)
-        ):
-            row[3] = ((row[3][0] + 1) % 6,)
-        return row
 
-    monkeypatch.setattr(StructureConstants, "product_row", shifted)
+@pytest.fixture
+def shifted_reused_row(monkeypatch):
+    """Break the scaled form on Z/6 at scale 5: the product 2*3 reads 1, not 0.
+
+    Row 2 of scale 5 is the closed row of 5*2 = 4 (mod 6), which the rings of
+    scales 2 and 4 have already been compared with, so a check that reused
+    an earlier comparison would miss it. The unit check reads only row 5.
+    """
+    _shift_product(monkeypatch, 5, 2)
 
 
 @pytest.fixture

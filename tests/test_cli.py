@@ -1,11 +1,13 @@
 import importlib
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -233,6 +235,20 @@ class TestExitCodes:
         code, doc = run_json("classify", "--modulus", "20000")
         assert code == 3
 
+    def test_classify_charge_precedes_closed_rows(self, monkeypatch):
+        # 3000^3 products are over the default budget; the 3000^2 closed-row
+        # slots (72 MB) must not be built before the charge refuses them
+        monkeypatch.delenv("RIGIDITY_BUDGET", raising=False)
+        tracemalloc.start()
+        try:
+            code, doc = run_json("classify", "--modulus", "3000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "scaled-form products on Z/3000" in doc["payload"]["message"]
+        assert peak < 2**20
+
     @pytest.mark.parametrize("budget,code", [("1728", 0), ("1727", 3)])
     def test_classify_charges_scaled_form_check(self, monkeypatch, budget, code):
         # Z/12: 12 rings x 12^2 products = 1728 checked cells
@@ -304,6 +320,16 @@ class TestExitCodes:
         jsonschema.validate(doc, SCHEMA)
         assert doc["status"] == "error"
         assert "not the scaled form" in doc["payload"]["message"]
+
+    @pytest.mark.parametrize(
+        "args", [["classify", "--modulus", "6"], ["enumerate", "--group", "6"]]
+    )
+    def test_reused_closed_row_violation_is_five(self, shifted_reused_row, args):
+        code, doc = run_json(*args)
+        assert code == 5
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["status"] == "error"
+        assert "own mul(1,1) = 5" in doc["payload"]["message"]
 
     def test_status_ok_iff_exit_zero(self):
         for args, expected in [
@@ -628,6 +654,24 @@ class TestScaleRows:
         code, doc = run_json("classify", "--modulus", str(modulus))
         assert code == 0
         assert doc["payload"]["oracle"] == "disagree"
+
+    @pytest.mark.parametrize(
+        "args", [["classify", "--modulus", "12"], ["enumerate", "--group", "12"]]
+    )
+    def test_kernel_answers_every_row(self, monkeypatch, args):
+        # the scaled-form check compares the kernel's own row for every ring
+        # and every x, so no row of kernel output may be memoised
+        original = StructureConstants.product_row
+        asked = set()
+
+        def spy(self, x):
+            asked.add((self.table[0][0][0], x[0]))
+            return original(self, x)
+
+        monkeypatch.setattr(StructureConstants, "product_row", spy)
+        code, _ = run_json(*args)
+        assert code == 0
+        assert asked >= set(itertools.product(range(12), range(12)))
 
 
 class TestTextMode:

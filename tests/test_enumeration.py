@@ -116,6 +116,14 @@ class TestScaledFormViolation:
         with pytest.raises(InvariantViolation, match=r"mul\(1,1\) = 1"):
             rigidity_report(GroupSpec((6,)))
 
+    def test_classify_raises_on_a_reused_closed_row(self, shifted_reused_row):
+        with pytest.raises(InvariantViolation, match=r"mul\(1,1\) = 5"):
+            classify_cyclic(6)
+
+    def test_report_raises_on_a_reused_closed_row(self, shifted_reused_row):
+        with pytest.raises(InvariantViolation, match=r"mul\(1,1\) = 5"):
+            rigidity_report(GroupSpec((6,)))
+
 
 class TestUnitalityCensus:
     @pytest.mark.parametrize("modulus", range(2, 17))
@@ -175,6 +183,20 @@ class TestOracleEquivalence:
             for n in range(3):
                 for f in range(3):
                     assert table[n][f] == (a * n * f) % 3
+
+    @pytest.mark.parametrize("modulus,tables", [(2, 16), (3, 19_683)])
+    def test_every_table_is_decided(self, monkeypatch, modulus, tables):
+        # N^(N^2) raw tables, each one tested for distributivity
+        decided = []
+        original = enumeration._table_distributive
+
+        def counted(table, n):
+            decided.append(table)
+            return original(table, n)
+
+        monkeypatch.setattr(enumeration, "_table_distributive", counted)
+        full_table_oracle(modulus)
+        assert len(decided) == tables
 
     def test_cap_enforced(self):
         with pytest.raises(CapacityError):
