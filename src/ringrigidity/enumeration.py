@@ -3,8 +3,8 @@
 A multiplication is a table of structure constants: entry (i, j) ranges
 over the elements whose order divides gcd(n_i, n_j), which is exactly the
 well-definedness constraint, so distributivity holds by construction and
-only associativity filters the tables. Tables are plain coordinate tuples;
-only the associative ones become objects.
+only associativity filters the tables. The census counts coordinate tuples;
+ring objects are built only for its examples and the public stream.
 
 The search assigns one cell at a time in the growing-square order
 00 01 10 11 02 20 12 21 22 ... and tests each generator triple (i, j, l)
@@ -20,8 +20,7 @@ takes ``POOL_CHUNK`` parts per call when it would have more than one
 process (it never has more than parts or CPUs), else the built-in ``map``
 runs one part at a time in-process. Each part sorts its tables row-major
 (for rank <= 2 the search order already is), so every run emits in
-lexicographic order of the flattened table. Element objects appear only
-for the units found.
+lexicographic order of the flattened table; a part returns int tuples.
 
 The census charges the budget per node, one value tried in one cell. The
 parent charges the prefix nodes from the set sizes prod_t gcd(n_t, n_i,
@@ -35,11 +34,8 @@ for every worker count, and a pool does at most about twice the budget's
 work before it.
 
 On Z/N both ``rigidity_report`` and ``classify_cyclic`` read one checked
-stream: each ring's ``product_row``s are compared with the closed form
-n*m = scale*n*m one row at a time, so the check makes no element objects,
-and a mismatch raises. The N closed rows are built once per modulus,
-after the charge (N^2 list slots over N shared tuples); the kernel still
-computes every row of every ring.
+stream, ``_cyclic_rings``: each table's ``product_row``s are compared with
+the closed form n*m = scale*n*m, and a mismatch raises.
 
 ``charge`` is the up-front budget gate of the other work: a Z/N census
 charges the N rings x N^2 products of that check, and the CLI the work
@@ -64,6 +60,7 @@ from typing import Iterator, Optional
 from .abelian import GroupSpec
 from .errors import CapacityError, InvariantViolation, UsageError
 from .structures import RingStructure, StructureConstants, associative_triple
+from .structures import commutative_table, unit_coords
 
 DEFAULT_BUDGET = 10**8
 GROUP_ORDER_CAP = 10_000
@@ -159,8 +156,8 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
     return tuple(order), sets, reaches, tuple(map(tuple, tests))
 
 
-def _part(task: tuple) -> tuple[list[RingStructure], int]:
-    """Rings extending one prefix, sorted row-major, and the nodes visited.
+def _part(task: tuple) -> tuple[list[tuple], int]:
+    """Tables extending one prefix, as sorted int tuples, and the nodes visited.
 
     task = (moduli, values of the first cells, cap). A node is one value
     tried in one cell; past ``cap`` nodes the search stops and reports
@@ -169,7 +166,7 @@ def _part(task: tuple) -> tuple[list[RingStructure], int]:
     fixed so far, is that depth, so each triple is tested once per path. A
     failing triple moves to the front of its list, so the triple that cuts
     most is tried first. The prefix cells pass the same tests, depth by
-    depth; a prefix that fails one returns no rings and no nodes.
+    depth; a prefix that fails one returns no tables and no nodes.
     """
     moduli, prefix, cap = task
     order, sets, reaches, tests = _plan(moduli)
@@ -213,17 +210,12 @@ def _part(task: tuple) -> tuple[list[RingStructure], int]:
 
     if all(passes(d) for d in range(len(prefix))):
         extend(len(prefix))
-    spec = GroupSpec(moduli)
     found.sort()
-    return [
-        RingStructure.from_constants(StructureConstants(spec, t)) for t in found
-    ], nodes
+    return found, nodes
 
 
-def enumerate_multiplications(
-    spec: GroupSpec, config: SearchConfig = SearchConfig()
-) -> Iterator[RingStructure]:
-    """Every associative bilinear multiplication on the group, exactly once.
+def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
+    """Every associative table on the group, exactly once, as coordinate tuples.
 
     Emitted in lexicographic order of the flattened constant table. Every
     node of the search is charged against the budget, and the search
@@ -260,11 +252,21 @@ def enumerate_multiplications(
         for chunk in iter(lambda: list(itertools.islice(prefixes, size)), []):
             share = (budget - spent) // len(chunk)
             tasks = [(moduli, prefix, share) for prefix in chunk]
-            for prefix, (rings, nodes) in zip(chunk, run(_part, tasks)):
+            for prefix, (tables, nodes) in zip(chunk, run(_part, tasks)):
                 if nodes > share and share < budget - spent:  # cut short below the rest
-                    rings, nodes = _part((moduli, prefix, budget - spent))
+                    tables, nodes = _part((moduli, prefix, budget - spent))
                 spend(nodes)
-                yield from rings
+                yield from tables
+
+
+def enumerate_multiplications(
+    spec: GroupSpec, config: SearchConfig = SearchConfig()
+) -> Iterator[RingStructure]:
+    """Every associative bilinear multiplication on the group, exactly once.
+
+    ``_tables``, in its order and under its budget, as checked ``RingStructure``s.
+    """
+    return (RingStructure(StructureConstants(spec, t)) for t in _tables(spec, config))
 
 
 @dataclass(frozen=True)
@@ -285,14 +287,14 @@ class RigidityReport:
         return True if self.group.is_cyclic else None
 
 
-def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[RingStructure]:
-    """The census of Z/N, each ring checked against scale*n*m, scale = mul(1, 1).
+def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
+    """The tables of Z/N, each checked against scale*n*m, scale = mul(1, 1).
 
     Row x of the ring of scale a must equal ``closed[a*x % n]``, the row
     c*m of c = a*x. The N closed rows are built once, after the N^3
     charge, so an over-budget N allocates nothing; their N^2 list slots
     over N shared tuples are bounded by budget^(2/3). ``product_row`` is
-    called for every ring and every x and its output is never reused: the
+    called for every table and every x and its output is never reused: the
     kernel is what is checked. A mismatch contradicts what the enumeration
     guarantees, so it raises rather than reports.
     """
@@ -300,21 +302,22 @@ def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[RingStructu
     charge(n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)")
     residues = [(m,) for m in range(n)]
     closed = [[residues[c * m % n] for m in range(n)] for c in range(n)]
-    for ring in enumerate_multiplications(spec, config):
-        scale = ring.mult.table[0][0][0]
+    for table in _tables(spec, config):
+        scale = table[0][0][0]
+        mult = StructureConstants(spec, table)
         for x in range(n):
-            if ring.mult.product_row((x,)) != closed[scale * x % n]:
+            if mult.product_row((x,)) != closed[scale * x % n]:
                 raise InvariantViolation(
                     f"multiplication on Z/{n} is not the scaled form of its "
                     f"own mul(1,1) = {scale}"
                 )
-        yield ring
+        yield table
 
 
 def rigidity_report(
     spec: GroupSpec, config: SearchConfig = SearchConfig()
 ) -> RigidityReport:
-    """Aggregate the enumeration stream into the census counts.
+    """Count the census on its coordinate tables; only the examples become rings.
 
     On Z/N it reads the checked stream, so a mismatch raises.
     """
@@ -323,17 +326,16 @@ def rigidity_report(
     unital = 0
     scales: list[int] = []
     examples: list[RingStructure] = []
-    stream = _cyclic_rings if spec.is_cyclic else enumerate_multiplications
-    for ring in stream(spec, config):
+    stream = _cyclic_rings if spec.is_cyclic else _tables
+    for table in stream(spec, config):
         total += 1
-        if ring.commutative:
-            commutative += 1
-        if ring.unit is not None:
+        commutative += commutative_table(table)
+        if unit_coords(spec.moduli, table) is not None:
             unital += 1
             if spec.is_cyclic:
-                scales.append(ring.mult.table[0][0][0])
+                scales.append(table[0][0][0])
             if len(examples) < 2:
-                examples.append(ring)
+                examples.append(RingStructure(StructureConstants(spec, table)))
     return RigidityReport(
         group=spec,
         total=total,
@@ -360,13 +362,11 @@ def classify_cyclic(
 
     Every ring is checked against scale*n*m first, and a mismatch raises.
     """
-    return [
-        CyclicClassification(
-            ring.mult.table[0][0][0],
-            None if ring.unit is None else ring.unit.coords[0],
-        )
-        for ring in _cyclic_rings(GroupSpec((modulus,)), config)
-    ]
+    entries = []
+    for table in _cyclic_rings(GroupSpec((modulus,)), config):
+        (unit,) = unit_coords((modulus,), table) or (None,)
+        entries.append(CyclicClassification(table[0][0][0], unit))
+    return entries
 
 
 FullTable = tuple[tuple[int, ...], ...]

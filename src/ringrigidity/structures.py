@@ -17,9 +17,9 @@ Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
 of the generators. ``product`` applies it to two coordinate tuples and
 ``product_row`` to every element in lexicographic order; ``product_column``
 is its mirror, x*y for every x from the right images e_i*y. ``eval`` is the
-element-object edge, taking and returning ``GroupElement``. ``find_unit``
-screens the coordinate tuples with one dot product per generator,
-coordinate and side, and builds an element only for the unit it returns.
+element-object edge, taking and returning ``GroupElement``. ``unit_coords``
+screens the coordinate tuples, one dot product per generator, coordinate
+and side; ``find_unit`` verifies its survivor and makes it an element.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
@@ -196,32 +196,28 @@ def check_associativity(constants: StructureConstants) -> bool:
     return associative_table(constants.group.moduli, constants.table)
 
 
+def commutative_table(table) -> bool:
+    """Table symmetry C[i][j] = C[j][i]; by bilinearity, sufficient and necessary."""
+    return tuple(table) == tuple(zip(*table))
+
+
 def check_commutativity(constants: StructureConstants) -> bool:
-    """Table symmetry; by bilinearity, sufficient and necessary."""
-    k = constants.group.rank
-    return all(
-        constants.table[i][j] == constants.table[j][i]
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
+    """Commutativity of the table (see ``commutative_table``)."""
+    return commutative_table(constants.table)
 
 
-def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
-    """The unique two-sided identity, or None.
+def unit_coords(moduli: tuple[int, ...], table) -> Optional[tuple[int, ...]]:
+    """The coordinates of the two-sided identity of the table, or None.
 
     Screens the coordinate tuples u one generator e_j and coordinate t at a
     time: (u*e_j)_t = sum_i u_i C[i][j]_t and (e_j*u)_t = sum_i u_i C[j][i]_t
-    must both be [t == j] mod n_t, one dot product per candidate, and the
-    screen stops once no candidate is left. The screens are sufficient by
-    bilinearity; a survivor is still verified on both sides against every
-    element, and only the unit returned becomes an element object.
+    must both be [t == j] mod n_t, stopping once none is left. By bilinearity
+    a survivor is the identity, hence unique, so the census counts by it alone.
     """
-    spec, table = constants.group, constants.table
-    everything = list(all_coords(spec))
-    candidates = everything
+    candidates = itertools.product(*map(range, moduli))  # a list after one screen
     for j, row in enumerate(table):
         sides = (row, [r[j] for r in table])  # C[j][i] for e_j*u, C[i][j] for u*e_j
-        for t, n in enumerate(spec.moduli):
+        for t, n in enumerate(moduli):
             want = int(t == j)
             for side in sides:
                 coefficients = [c[t] for c in side]
@@ -232,9 +228,18 @@ def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
                 ]
                 if not candidates:
                     return None
-    for u in candidates:
-        if constants.product_row(u) == everything == constants.product_column(u):
-            return GroupElement(spec, u)
+    return candidates[0]
+
+
+def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
+    """The unique two-sided identity, or None: the ``unit_coords`` survivor,
+    verified on both sides against every element, becomes an element."""
+    everything = list(all_coords(constants.group))
+    u = unit_coords(constants.group.moduli, constants.table)
+    if u is not None and (
+        constants.product_row(u) == everything == constants.product_column(u)
+    ):
+        return GroupElement(constants.group, u)
     return None
 
 

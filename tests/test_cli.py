@@ -274,7 +274,7 @@ class TestExitCodes:
         def no_census(*args):
             raise AssertionError("the census started before the work charge")
 
-        monkeypatch.setattr(enumeration, "enumerate_multiplications", no_census)
+        monkeypatch.setattr(enumeration, "_tables", no_census)
         start = time.perf_counter()
         code, doc = run_json("classify", "--modulus", "9999")
         assert time.perf_counter() - start < 1.0

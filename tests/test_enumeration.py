@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -7,10 +8,12 @@ from ringrigidity import (
     CapacityError,
     GroupSpec,
     InvariantViolation,
+    RingStructure,
     SearchConfig,
     StructureConstants,
     check_associativity,
     classify_cyclic,
+    cyclic_constants,
     enumerate_multiplications,
     expand_to_full_table,
     full_table_oracle,
@@ -213,19 +216,22 @@ class TestObjectPathOracle:
         spec = GroupSpec(moduli)
         assert coords_tables(spec) == object_path_census(spec)
 
-    def test_constants_built_once_per_ring(self, monkeypatch):
-        # rejected candidates never become objects: one validation per ring
-        calls = [0]
-        original = StructureConstants.__post_init__
+    def test_constants_built_only_for_the_examples(self, monkeypatch):
+        # the census counts on coordinate tables: of its 121 rings, only the
+        # two unital examples become StructureConstants and RingStructures
+        calls = {StructureConstants: 0, RingStructure: 0}
+        for cls in calls:
+            original = cls.__post_init__
 
-        def counted(self):
-            calls[0] += 1
-            original(self)
+            def counted(self, cls=cls, original=original):
+                calls[cls] += 1
+                original(self)
 
-        monkeypatch.setattr(StructureConstants, "__post_init__", counted)
+            monkeypatch.setattr(cls, "__post_init__", counted)
         report = rigidity_report(GroupSpec((3, 3)))
         assert report.total == 121
-        assert calls[0] == report.total
+        assert len(report.unital_examples) == 2
+        assert calls == {StructureConstants: 2, RingStructure: 2}
 
     def test_cyclic_report_builds_few_elements(self, element_count):
         # the scaled-form check and the unit search run on coordinate
@@ -236,10 +242,49 @@ class TestObjectPathOracle:
 
     def test_census_builds_elements_only_for_units(self, element_count):
         # tables, candidate sets and the unit screens are coordinate tuples;
-        # the only elements are the units the unital rings return
+        # the only elements are the units of the two unital examples
         report = rigidity_report(GroupSpec((4, 4)))
         assert report.unital_count == 192
-        assert element_count[0] <= report.unital_count
+        assert element_count[0] <= 2
+
+    def test_parts_return_only_tuples(self):
+        # a pool worker pickles its part's tables as nested int tuples,
+        # with no library object in them
+        moduli = (2, 2, 4)
+        sets = enumeration._plan(moduli)[1]
+        task = (moduli, (sets[0][1], sets[1][1]), enumeration.DEFAULT_BUDGET)
+        part = enumeration._part(task)
+        tables, nodes = part
+        assert tables and nodes
+        assert b"ringrigidity" not in pickle.dumps(part)
+
+
+class TestCountPathAgainstObjectPath:
+    """``rigidity_report`` counts on tables; the public stream builds rings."""
+
+    @pytest.mark.parametrize(
+        "moduli",
+        [m for m in factor_sequences(16) if len(m) <= 2] + [(3, 9), (2, 2, 2)],
+        ids=lambda m: ",".join(map(str, m)),
+    )
+    def test_report_matches_ring_flags(self, moduli):
+        spec = GroupSpec(moduli)
+        rings = list(enumerate_multiplications(spec))
+        unital = [ring for ring in rings if ring.unit is not None]
+        report = rigidity_report(spec)
+        assert (report.total, report.commutative_count, report.unital_count) == (
+            len(rings), sum(ring.commutative for ring in rings), len(unital)
+        )
+        assert report.unital_examples == tuple(unital[:2])
+        if spec.is_cyclic:
+            scales = tuple(ring.mult.table[0][0][0] for ring in unital)
+            assert report.unital_scales == scales
+
+    @pytest.mark.parametrize("modulus", range(2, 49))
+    def test_classify_units_match_ring_units(self, modulus):
+        for entry in classify_cyclic(modulus):
+            unit = RingStructure(cyclic_constants(modulus, entry.scale)).unit
+            assert entry.unit == (None if unit is None else unit.coords[0])
 
 
 class TestExhaustiveOracle:
