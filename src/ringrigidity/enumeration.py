@@ -13,20 +13,25 @@ cut with all its extensions. The triple reads cells (i, j) and (j, l),
 cell (s, l) where C[i][j]_s != 0 and cell (i, s) where C[j][l]_s != 0.
 The depth of the last of these depends only on the values of cells
 (i, j) and (j, l), so each depth has one fixed list of the triples that
-may fall due there, and a node tests those whose looked-up due depth is
-its own. The values of the first two cells name the parts of the search,
-and one loop maps ``_part`` over them for every worker count: a pool
-takes ``POOL_CHUNK`` parts per call when it would have more than one
-process (it never has more than parts or CPUs), else the built-in ``map``
-runs one part at a time in-process. Each part sorts its tables row-major
-(for rank <= 2 the search order already is), so every run emits in
-lexicographic order of the flattened table; a part returns int tuples.
+may fall due there. A due triple that reads the new cell only as (s, l)
+or (i, s) is linear in it, one congruence per coordinate, so it is
+solved: the search tries only the values every such triple admits. A
+node is one value tried in one cell, and it meets the due triples whose
+(i, j) or (j, l) is that cell. The values of the first two cells name
+the parts of the search, and one loop maps ``_part`` over them for
+every worker count: a pool takes ``POOL_CHUNK`` parts per call when it
+would have more than one process (it never has more than parts or the
+CPUs this process may use), else the built-in ``map`` runs one part at a
+time in-process. Each part sorts its tables row-major (for rank <= 2 the
+search order already is), so every run emits in lexicographic order of
+the flattened table; a part returns int tuples.
 
-The census charges the budget per node, one value tried in one cell. The
-parent charges the prefix nodes from the set sizes prod_t gcd(n_t, n_i,
-n_j) before it builds any set, and adds the parts' counts in task order,
-raising once the total exceeds the budget. The parts of one call share
-the rest of the budget equally, so a serial part's cap is the whole rest.
+The census charges the budget per node. A solve runs once per node that
+passes, and its work is bounded by the plan's size. The parent charges
+the prefix nodes from the set sizes prod_t gcd(n_t, n_i, n_j) before it
+builds any set, and adds the parts' counts in task order, raising once
+the total exceeds the budget. The parts of one call share the rest of
+the budget equally, so a serial part's cap is the whole rest.
 A part cut short at a share below the current rest is run again in the
 parent on the whole rest; one cut short at the whole rest needs no second
 run, so a serial run never runs a part twice. So the verdict is the same
@@ -156,21 +161,81 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
     return tuple(order), sets, reaches, tuple(map(tuple, tests))
 
 
+@functools.lru_cache(maxsize=16)
+def _split(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Per depth d: (cell, coords, solved, tested, reach_of), from ``_plan``.
+
+    ``cell`` is order[d], and ``coords[t]`` lists coordinate t of its
+    candidates, whose product is sets[d]. An entry of tests[d] is
+    ``solved`` if it reads the cell only as (s, l) or (i, s), so it is
+    linear in the cell, and ``tested`` if the cell is its (i, j) or (j, l).
+    ``reach_of`` maps each candidate to its ``_reach``.
+    """
+    order, sets, reaches, tests = _plan(moduli)
+    split = []
+    for (a, b), values, held, listed in zip(order, sets, reaches, tests):
+        tested = tuple(e for e in listed if (a, b) in (e[:2], e[1:3]))
+        solved = tuple(e for e in listed if e not in tested)
+        coords = tuple(tuple(sorted(set(column))) for column in zip(*values))
+        split.append(((a, b), coords, solved, tested, dict(zip(values, held))))
+    return tuple(split)
+
+
+def _solve(moduli: tuple[int, ...], table, reach, depth: int) -> list[list[int]]:
+    """Per coordinate t, the values of cell (a, b) = order[depth] that every
+    solved triple due there admits; their product is the cell's candidates.
+
+    Such a triple (i, j, l) reads x = C[a][b] as C[s][l] for s = a when
+    l == b and as C[i][s] for s = b when i == a, so in coordinate t it says
+    alpha * x_t + rest_t = 0 mod n_t, alpha = [l == b] C[i][j]_a - [i == a]
+    C[j][l]_b, where rest_t is the rest of the sum. As in
+    ``associative_triple`` a zero coefficient reads no cell, so only cells
+    fixed at earlier depths are read.
+    """
+    (a, b), coords, solved, _, _ = _split(moduli)[depth]
+    values = list(coords)
+    r = range(len(moduli))
+    for i, j, l, due in solved:
+        ij, jl = table[i][j], table[j][l]
+        if due[reach[i][j]][reach[j][l]] != depth:
+            continue
+        left = a if l == b else -1  # the s whose term holds x, or none
+        right = b if i == a else -1
+        alpha = (ij[a] if l == b else 0) - (jl[b] if i == a else 0)
+        row = table[i]
+        for t in r:
+            rest = 0
+            for s in r:
+                if ij[s] and s != left:
+                    rest += ij[s] * table[s][l][t]
+                if jl[s] and s != right:
+                    rest -= jl[s] * row[s][t]
+            n = moduli[t]
+            values[t] = [x for x in values[t] if (alpha * x + rest) % n == 0]
+            if not values[t]:
+                return values
+    return values
+
+
 def _part(task: tuple) -> tuple[list[tuple], int]:
     """Tables extending one prefix, as sorted int tuples, and the nodes visited.
 
     task = (moduli, values of the first cells, cap). A node is one value
     tried in one cell; past ``cap`` nodes the search stops and reports
-    cap + 1. At each depth the search tests the entries of ``tests`` (see
-    ``_plan``) whose due depth, looked up from the reaches of the cells
-    fixed so far, is that depth, so each triple is tested once per path. A
-    failing triple moves to the front of its list, so the triple that cuts
-    most is tried first. The prefix cells pass the same tests, depth by
-    depth; a prefix that fails one returns no tables and no nodes.
+    cap + 1. On entering a depth the search solves that cell's ``solved``
+    triples (see ``_split``) whose due depth, looked up from the reaches of
+    the cells fixed so far, is that depth, and tries only the values they
+    admit, in lexicographic order. Each tried value then meets the due
+    entries of ``tested``, so each triple is checked once per path. A
+    failing tested triple moves to the front of its list, so the triple
+    that cuts most is tried first. The prefix cells pass every entry of
+    ``tests`` due at their depths; a prefix that fails one returns no
+    tables and no nodes.
     """
     moduli, prefix, cap = task
-    order, sets, reaches, tests = _plan(moduli)
-    tests = [list(listed) for listed in tests]
+    order, _, _, tests = _plan(moduli)
+    split = _split(moduli)
+    checks_at = [list(tested) for _, _, _, tested, _ in split]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
     reach = [[0] * k for _ in range(k)]
@@ -181,7 +246,7 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     nodes = 0
 
     def passes(depth: int) -> bool:
-        checks = tests[depth]
+        checks = checks_at[depth]
         for n, (i, j, l, due) in enumerate(checks):
             if due[reach[i][j]][reach[j][l]] == depth and not associative_triple(
                 moduli, table, i, j, l
@@ -198,17 +263,22 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
             return
         a, b = order[depth]
         row, reach_row = table[a], reach[a]
-        for x, r in zip(sets[depth], reaches[depth]):
+        reach_of = split[depth][4]
+        for x in itertools.product(*_solve(moduli, table, reach, depth)):
             if nodes >= cap:
                 nodes = cap + 1
                 return
             nodes += 1
             row[b] = x
-            reach_row[b] = r
+            reach_row[b] = reach_of[x]
             if passes(depth):
                 extend(depth + 1)
 
-    if all(passes(d) for d in range(len(prefix))):
+    if all(
+        due[reach[i][j]][reach[j][l]] != d or associative_triple(moduli, table, i, j, l)
+        for d in range(len(prefix))
+        for i, j, l, due in tests[d]
+    ):
         extend(len(prefix))
     found.sort()
     return found, nodes
@@ -246,7 +316,11 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
     # the parent visits every prefix node; a part whose prefix fails adds none
     spend(sum(math.prod(sizes[: d + 1]) for d in range(len(sizes))))
     prefixes = itertools.product(*_plan(moduli)[1][:PREFIX_CELLS])
-    processes = min(config.workers, math.prod(sizes), os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
+    else:
+        cpus = os.cpu_count() or 1
+    processes = min(config.workers, math.prod(sizes), cpus)
     with Pool(processes) if processes > 1 else contextlib.nullcontext() as pool:
         run, size = (map, 1) if pool is None else (pool.map, POOL_CHUNK)
         for chunk in iter(lambda: list(itertools.islice(prefixes, size)), []):

@@ -134,9 +134,10 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
 
 
 def random_matrix(rng: random.Random, n: int, modulus: int) -> MatrixElement:
+    """A uniform n x n matrix over Z/modulus: its n^2 entries in one draw."""
+    flat = rng.choices(range(modulus), k=n * n)
     return MatrixElement(
-        modulus,
-        tuple(tuple(rng.randrange(modulus) for _ in range(n)) for _ in range(n)),
+        modulus, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
     )
 
 

@@ -144,30 +144,26 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_capacity_is_three(self, monkeypatch):
-        # 2,2 visits 148 search nodes: that budget passes, one less exits 3
+        # 2,2 visits 88 search nodes: that budget passes, one less exits 3
         for workers in ("1", "2"):
-            monkeypatch.setenv("RIGIDITY_BUDGET", "147")
+            monkeypatch.setenv("RIGIDITY_BUDGET", "87")
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 3
-            assert "more than 147 search nodes" in doc["payload"]["message"]
-            monkeypatch.setenv("RIGIDITY_BUDGET", "148")
+            assert "more than 87 search nodes" in doc["payload"]["message"]
+            monkeypatch.setenv("RIGIDITY_BUDGET", "88")
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 0 and doc["payload"]["total"] == 28
 
     @pytest.mark.parametrize(
         "group,nodes,counts,workers",
         [
-            pytest.param(
-                "2,2,2", 114_840, [1688, 988, 532], "1", id="2,2,2-114840-counts0"
-            ),
-            # a part's share is 1,793 nodes and the largest part has 4,504,
+            pytest.param("2,2,2", 22_058, [1688, 988, 532], "1", id="2,2,2"),
+            # a part's share is 343 nodes and the largest part has 2,250,
             # so the pool's parts are cut short and run again in the parent
             pytest.param(
-                "2,2,2", 114_840, [1688, 988, 532], "2", id="2,2,2-114840-counts0-workers2"
+                "2,2,2", 22_058, [1688, 988, 532], "2", id="2,2,2-workers2"
             ),
-            pytest.param(
-                "2,2,4", 386_104, [4864, 2272, 992], "1", id="2,2,4-386104-counts1"
-            ),
+            pytest.param("2,2,4", 112_870, [4864, 2272, 992], "1", id="2,2,4"),
         ],
     )
     def test_rank_three_node_boundary(self, monkeypatch, group, nodes, counts, workers):
@@ -198,7 +194,7 @@ class TestExitCodes:
         assert code == 0
         assert len(prefixes) == len(set(prefixes)) == 64
         prefixes.clear()
-        monkeypatch.setenv("RIGIDITY_BUDGET", "386103")
+        monkeypatch.setenv("RIGIDITY_BUDGET", "112869")
         code, doc = run_json("enumerate", "--group", "2,2,4")
         assert code == 3
         assert len(prefixes) == len(set(prefixes))

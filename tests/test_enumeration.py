@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 
@@ -21,11 +22,12 @@ from ringrigidity import (
     search_space_size,
 )
 from ringrigidity import enumeration
+from ringrigidity.structures import associative_triple
 
 from conftest import exhaustive_census, factor_sequences, object_path_census
 
 # 2,2 visits exactly this many search nodes (cell values tried)
-KLEIN_NODES = 148
+KLEIN_NODES = 88
 
 
 def coords_tables(spec, config=SearchConfig()):
@@ -423,6 +425,69 @@ class TestSchedule:
                     assert tested == [max(depth[c] for c in read)], (i, j, l, x, y)
 
 
+class TestLinearSolve:
+    @pytest.mark.parametrize(
+        "moduli",
+        [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)],
+        ids=lambda m: ",".join(map(str, m)),
+    )
+    def test_solve_matches_brute_force(self, moduli):
+        # on seeded random partial tables at every depth d, the solved
+        # values of cell (a, b) = order[d] are the candidates that pass every
+        # triple due at d that reads the cell but not as (i, j) or (j, l);
+        # every unfixed cell, (a, b) too, holds None and has reach None, so
+        # the solve reads none of them
+        order, sets, _, _ = enumeration._plan(moduli)
+        depth = {cell: d for d, cell in enumerate(order)}
+        k = len(moduli)
+        r = range(k)
+        rng = random.Random(",".join(map(str, moduli)))
+
+        def reach(x):
+            return max((s + 1 for s in r if x[s]), default=0)
+
+        def last_read(table, i, j, l):
+            x, y = table[i][j], table[j][l]
+            read = [(i, j), (j, l)]
+            read += [(s, l) for s in r if x[s]] + [(i, s) for s in r if y[s]]
+            return max(depth[c] for c in read)
+
+        cut = 0
+        for d, (a, b) in enumerate(order):
+            for _ in range(20):
+                table = [[None] * k for _ in r]
+                reaches = [[None] * k for _ in r]
+                for i, j in order[:d]:
+                    table[i][j] = rng.choice(sets[depth[i, j]])
+                    reaches[i][j] = reach(table[i][j])
+                solved = list(
+                    itertools.product(*enumeration._solve(moduli, table, reaches, d))
+                )
+                linear = [
+                    (i, j, l)
+                    for i, j, l in itertools.product(r, r, r)
+                    if max(depth[i, j], depth[j, l]) < d
+                    and last_read(table, i, j, l) == d
+                ]
+                expected = []
+                for x in sets[d]:
+                    table[a][b] = x
+                    if all(associative_triple(moduli, table, *t) for t in linear):
+                        expected.append(x)
+                assert solved == expected, (d, table)
+                cut += len(sets[d]) - len(expected)
+        if math.gcd(*moduli) > 1 and k > 1:
+            assert cut  # the solve did cut, so the comparison is not vacuous
+
+    def test_split_covers_each_entry_once(self):
+        # every entry of tests[d] is either solved or tested at d, not both
+        order, _, _, tests = enumeration._plan((2, 4, 4))
+        for cell, listed, split in zip(order, tests, enumeration._split((2, 4, 4))):
+            _, _, solved, tested, _ = split
+            assert sorted(solved + tested) == sorted(listed)
+            assert all(cell in (e[:2], e[1:3]) for e in tested)
+            assert not any(cell in (e[:2], e[1:3]) for e in solved)
+
 class TestDeterminismAndParallelism:
     def test_two_runs_identical(self):
         spec = GroupSpec((2, 2))
@@ -444,6 +509,8 @@ class TestDeterminismAndParallelism:
     def test_pool_capped_at_cpu_count(self, monkeypatch, serial_pool):
         spec = GroupSpec((8,))
         serial = coords_tables(spec)
+        # without an affinity call the CPUs are os.cpu_count(), 1 if unknown
+        monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
@@ -454,6 +521,20 @@ class TestDeterminismAndParallelism:
         # one CPU runs the parts in-process, with no pool at all
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
         assert serial_pool.sizes == [3, 2, 8]
+
+    def test_pool_sized_by_affinity(self, monkeypatch, serial_pool):
+        # pinned to one CPU of 64, two workers run in-process, with no pool
+        spec = GroupSpec((2, 2))
+        serial = coords_tables(spec)
+        monkeypatch.setattr(
+            enumeration.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+        assert coords_tables(spec, SearchConfig(workers=2)) == serial
+        assert serial_pool.sizes == []
+        monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {0, 5, 9})
+        assert coords_tables(spec, SearchConfig(workers=5000)) == serial
+        assert serial_pool.sizes == [3]
 
     def test_pool_maps_two_cell_parts(self, serial_pool):
         # 4 values of cell 00 times 4 of cell 01: 16 parts, not 4
