@@ -138,7 +138,8 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
     cells (i, j) and (j, l), ``left[r]`` that of cell (r - 1, l),
     ``right[r]`` that of cell (i, r - 1), and 0 for the zero vector (see
     ``_order``). The triple and its table are listed in ``tests[d]`` for
-    every depth d the table gives on the reaches those two cells' sets hold.
+    every depth d the table gives on the reaches those two cells' sets hold,
+    taken as one reach for both when the two cells are one (i == j == l).
     """
     k = len(moduli)
     order = _order(k)
@@ -156,6 +157,8 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
         right = (0,) + tuple(depth[i, s] for s in r)
         due = tuple(tuple(max(anchor, a, b) for b in right) for a in left)
         held = itertools.product(set(reaches[depth[i, j]]), set(reaches[depth[j, l]]))
+        if i == j == l:  # cells (i, j) and (j, l) are one cell, with one reach
+            held = ((ra, rb) for ra, rb in held if ra == rb)
         for d in {due[ra][rb] for ra, rb in held}:
             tests[d].append((i, j, l, due))
     return tuple(order), sets, reaches, tuple(map(tuple, tests))

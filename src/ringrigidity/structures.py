@@ -18,8 +18,11 @@ of the generators. ``product`` applies it to two coordinate tuples and
 ``product_row`` to every element in lexicographic order; ``product_column``
 is its mirror, x*y for every x from the right images e_i*y. ``eval`` is the
 element-object edge, taking and returning ``GroupElement``. ``unit_coords``
-screens the coordinate tuples, one dot product per generator, coordinate
-and side; ``find_unit`` verifies its survivor and makes it an element.
+screens the coordinate tuples, one linear congruence per generator,
+coordinate and side. A screen's solutions depend only on the group and the
+congruence, so each is built once as a bitmask over the elements in
+lexicographic order and cached (``_screen``); a table ANDs at most 2k^2 of
+them. ``find_unit`` verifies the survivor and makes it an element.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
@@ -29,6 +32,7 @@ window on small exhaustive triples plus, above bound 3,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -206,38 +210,63 @@ def check_commutativity(constants: StructureConstants) -> bool:
     return commutative_table(constants.table)
 
 
+SCREEN_CACHE = 512  # the screens ``_screen`` keeps; see there for the memory
+_BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int() reads
+
+
+@functools.lru_cache(maxsize=SCREEN_CACHE)
+def _screen(
+    moduli: tuple[int, ...], t: int, coefficients: tuple[int, ...], want: int
+) -> int:
+    """The bitmask of the u with sum_i u_i coefficients[i] = want (mod n_t).
+
+    Bit p stands for the p-th coordinate tuple in lexicographic order. The
+    sums are built one generator at a time, as ``_span`` builds its columns.
+    A mask holds |G| bits, so the cache holds at most SCREEN_CACHE * |G| / 8
+    bytes of masks: 640 KB at the census's group order cap of 10^4, 64 MB
+    at ``find_unit``'s element cap of 10^6.
+    """
+    n = moduli[t]
+    sums = [0]
+    for c, m in zip(coefficients, moduli):
+        sums = [(s + x * c) % n for s in sums for x in range(m)]
+    return int(bytes([s == want for s in reversed(sums)]).translate(_BITS), 2)
+
+
 def unit_coords(moduli: tuple[int, ...], table) -> Optional[tuple[int, ...]]:
     """The coordinates of the two-sided identity of the table, or None.
 
     Screens the coordinate tuples u one generator e_j and coordinate t at a
     time: (u*e_j)_t = sum_i u_i C[i][j]_t and (e_j*u)_t = sum_i u_i C[j][i]_t
-    must both be [t == j] mod n_t, stopping once none is left. By bilinearity
-    a survivor is the identity, hence unique, so the census counts by it alone.
+    must both be [t == j] mod n_t. Each screen is a cached bitmask
+    (``_screen``), so a table costs at most 2k^2 ANDs, stopping once none
+    is left. By bilinearity a survivor is the identity, hence unique, so
+    the census counts by it alone; its bit is decoded by mixed radix.
     """
-    candidates = itertools.product(*map(range, moduli))  # a list after one screen
+    survivors = -1  # every tuple
     for j, row in enumerate(table):
         sides = (row, [r[j] for r in table])  # C[j][i] for e_j*u, C[i][j] for u*e_j
-        for t, n in enumerate(moduli):
+        for t in range(len(moduli)):
             want = int(t == j)
             for side in sides:
-                coefficients = [c[t] for c in side]
-                candidates = [
-                    u
-                    for u in candidates
-                    if sum(map(operator.mul, u, coefficients)) % n == want
-                ]
-                if not candidates:
+                survivors &= _screen(moduli, t, tuple(c[t] for c in side), want)
+                if not survivors:
                     return None
-    return candidates[0]
+    p = survivors.bit_length() - 1
+    coords = []
+    for n in reversed(moduli):
+        p, x = divmod(p, n)
+        coords.append(x)
+    return tuple(reversed(coords))
 
 
 def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     """The unique two-sided identity, or None: the ``unit_coords`` survivor,
     verified on both sides against every element, becomes an element."""
-    everything = list(all_coords(constants.group))
+    everything = all_coords(constants.group)  # the element cap, before any screen
     u = unit_coords(constants.group.moduli, constants.table)
     if u is not None and (
-        constants.product_row(u) == everything == constants.product_column(u)
+        constants.product_row(u) == list(everything) == constants.product_column(u)
     ):
         return GroupElement(constants.group, u)
     return None

@@ -410,6 +410,8 @@ class TestSchedule:
         def reach(x):
             return max((s + 1 for s in r if x[s]), default=0)
 
+        # for i == j == l the two cells are one, so y = x; every listed
+        # entry must be due at its depth for at least one such pair
         for i, j, l in itertools.product(r, r, r):
             listed = [
                 (d, due)
@@ -417,12 +419,19 @@ class TestSchedule:
                 for *triple, due in entries
                 if triple == [i, j, l]
             ]
-            for x in sets[depth[i, j]]:
-                for y in sets[depth[j, l]]:
-                    read = [(i, j), (j, l)]
-                    read += [(s, l) for s in r if x[s]] + [(i, s) for s in r if y[s]]
-                    tested = [d for d, due in listed if due[reach(x)][reach(y)] == d]
-                    assert tested == [max(depth[c] for c in read)], (i, j, l, x, y)
+            pairs = (
+                [(x, x) for x in sets[depth[i, i]]]
+                if i == j == l
+                else itertools.product(sets[depth[i, j]], sets[depth[j, l]])
+            )
+            used = set()
+            for x, y in pairs:
+                read = [(i, j), (j, l)]
+                read += [(s, l) for s in r if x[s]] + [(i, s) for s in r if y[s]]
+                tested = [d for d, due in listed if due[reach(x)][reach(y)] == d]
+                assert tested == [max(depth[c] for c in read)], (i, j, l, x, y)
+                used.update(tested)
+            assert used == {d for d, _ in listed}, (i, j, l)
 
 
 class TestLinearSolve:

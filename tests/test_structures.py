@@ -1,14 +1,19 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 
 from ringrigidity import (
+    DEFAULT_ELEMENT_CAP,
+    CapacityError,
     GroupSpec,
     IntegerOverflowError,
     IntegerWindow,
     RingStructure,
     ScaledMult,
+    SearchConfig,
     StructureConstants,
     UsageError,
     all_elements,
@@ -19,8 +24,15 @@ from ringrigidity import (
     enumerate_multiplications,
     find_unit,
 )
+from ringrigidity import enumeration, structures
 from ringrigidity.abelian import all_coords
-from ringrigidity.structures import DISTRIBUTIVITY_SAMPLES, associative_triple
+from ringrigidity.structures import (
+    DISTRIBUTIVITY_SAMPLES,
+    SCREEN_CACHE,
+    associative_table,
+    associative_triple,
+    unit_coords,
+)
 
 from conftest import (
     allowed_entries,
@@ -306,6 +318,84 @@ class TestFindUnit:
             ]
             assert len(units) <= 1
             assert ring.unit == (spec.element(units[0]) if units else None), c.table
+
+
+def unital_by_construction(spec: GroupSpec, rng: random.Random) -> StructureConstants:
+    """A random table whose row 0 and column 0 make e_0 a two-sided identity.
+
+    Well-defined only when every n_j divides n_0; the other cells are
+    random, so the table is mostly not associative.
+    """
+    table = [list(row) for row in random_constants(spec, rng).table]
+    for j, e in enumerate(spec.generators()):
+        table[0][j] = table[j][0] = e.coords
+    return StructureConstants(spec, table)
+
+
+class TestUnitOracle:
+    """``unit_coords`` against the two-sided identity found by brute force."""
+
+    @pytest.mark.parametrize(
+        "moduli",
+        [m for m in factor_sequences(16) if len(m) <= 2] + [(3, 9), (2, 2, 2)],
+        ids=lambda m: ",".join(map(str, m)),
+    )
+    def test_every_census_table_and_random_tables(self, moduli):
+        # every census table (unital or not), random well-defined tables and,
+        # where every n_j divides n_0, random tables with e_0 as identity;
+        # the unit is the u with u*x = x = x*u for every x, by naive_eval
+        spec = GroupSpec(moduli)
+        rng = random.Random(",".join(map(str, moduli)))
+        tables = list(enumeration._tables(spec, SearchConfig()))
+        tables += [random_constants(spec, rng).table for _ in range(20)]
+        if all(moduli[0] % n == 0 for n in moduli):
+            tables += [unital_by_construction(spec, rng).table for _ in range(10)]
+        # rank 1 and coprime Z/a x Z/b have only associative tables
+        if spec.rank > 1 and math.gcd(*moduli) > 1:
+            assert not all(associative_table(moduli, t) for t in tables)
+        elements = list(all_elements(spec))
+        for table in tables:
+            units = [
+                u.coords
+                for u in elements
+                if all(
+                    naive_eval(table, u, x) == x == naive_eval(table, x, u)
+                    for x in reversed(elements)  # zero, which always passes, last
+                )
+            ]
+            assert len(units) <= 1
+            assert unit_coords(moduli, table) == (units[0] if units else None), table
+
+    def test_cache_bounded(self):
+        # tables on Z/16^3 (order 4096) whose first screen, e_0*u = e_0 in
+        # coordinate 0, differs for each of 3 * SCREEN_CACHE tables: the
+        # cache keeps at most SCREEN_CACHE masks of 4096 bits, plus up to a
+        # kilobyte each for its key, link and dict slot
+        moduli = (16, 16, 16)
+        zero = (0, 0, 0)
+        rows = [(zero,) * 3] * 2
+        coefficients = itertools.product(range(16), repeat=3)
+        structures._screen.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for a, b, c in itertools.islice(coefficients, 3 * SCREEN_CACHE):
+                unit_coords(moduli, [((a, 0, 0), (b, 0, 0), (c, 0, 0)), *rows])
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            structures._screen.cache_clear()
+        assert held < SCREEN_CACHE * (16**3 // 8 + 1024)
+
+    def test_element_cap_before_any_screen(self):
+        spec = GroupSpec((1001, 1000))
+        assert spec.order > DEFAULT_ELEMENT_CAP
+        zero = (0, 0)
+        c = StructureConstants(spec, ((zero, zero), (zero, zero)))
+        misses = structures._screen.cache_info().misses
+        with pytest.raises(CapacityError):
+            find_unit(c)
+        assert structures._screen.cache_info().misses == misses
 
 
 def componentwise_constants(spec: GroupSpec) -> StructureConstants:
