@@ -6,9 +6,9 @@ ring multiplications: the usual row-by-column product, noncommutative for
 n >= 2 with the diagonal identity matrix as unit, and the entrywise
 (Hadamard) product, commutative with the all-ones matrix as unit. The base
 ring is Z/m rather than the reals so every claim here can be checked
-exactly, and exhaustively on tiny carriers. The kernels build each row
-with ``map`` over ``operator`` functions, so no entry runs a Python frame
-of its own.
+exactly, and exhaustively on tiny carriers. Validation happens only in the
+public constructor ``MatrixElement(...)``; the kernels reduce each entry
+they compute and build their results unchecked with ``_reduced``.
 """
 
 from __future__ import annotations
@@ -43,11 +43,8 @@ class MatrixElement:
         if n < 1 or any(len(row) != n for row in self.rows):
             raise UsageError("matrix must be square with dimension >= 1")
         moduli = itertools.repeat(self.modulus)
-        object.__setattr__(
-            self,
-            "rows",
-            tuple([tuple(map(operator.mod, row, moduli)) for row in self.rows]),
-        )
+        rows = tuple([tuple(map(operator.mod, row, moduli)) for row in self.rows])
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -57,41 +54,45 @@ class MatrixElement:
         return [list(row) for row in self.rows]
 
 
-def _check_compatible(a: MatrixElement, b: MatrixElement, op: str) -> None:
+def _reduced(modulus: int, rows: tuple[tuple[int, ...], ...]) -> MatrixElement:
+    """A matrix from square rows of entries in range(modulus), unchecked."""
+    matrix = object.__new__(MatrixElement)
+    object.__setattr__(matrix, "modulus", modulus)
+    object.__setattr__(matrix, "rows", rows)
+    return matrix
+
+
+def _common_modulus(a: MatrixElement, b: MatrixElement, op: str) -> int:
     if a.n != b.n or a.modulus != b.modulus:
         raise UsageError(
             f"{op}: shapes {a.n}x{a.n} mod {a.modulus} and "
             f"{b.n}x{b.n} mod {b.modulus} do not mix"
         )
+    return a.modulus
 
 
 def mat_add(a: MatrixElement, b: MatrixElement) -> MatrixElement:
-    _check_compatible(a, b, "mat_add")
-    return MatrixElement(
-        a.modulus,
-        tuple([tuple(map(operator.add, ra, rb)) for ra, rb in zip(a.rows, b.rows)]),
-    )
+    m = _common_modulus(a, b, "mat_add")
+    return _reduced(m, tuple([
+        tuple([(x + y) % m for x, y in zip(ra, rb)]) for ra, rb in zip(a.rows, b.rows)
+    ]))
 
 
 def mat_mul_standard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     """Row-by-column product modulo the base modulus."""
-    _check_compatible(a, b, "mat_mul_standard")
+    m = _common_modulus(a, b, "mat_mul_standard")
     cols = list(zip(*b.rows))
-    return MatrixElement(
-        a.modulus,
-        tuple([
-            tuple([sum(map(operator.mul, ra, col)) for col in cols]) for ra in a.rows
-        ]),
-    )
+    return _reduced(m, tuple([
+        tuple([sum(map(operator.mul, ra, col)) % m for col in cols]) for ra in a.rows
+    ]))
 
 
 def mat_mul_hadamard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     """Entrywise product modulo the base modulus."""
-    _check_compatible(a, b, "mat_mul_hadamard")
-    return MatrixElement(
-        a.modulus,
-        tuple([tuple(map(operator.mul, ra, rb)) for ra, rb in zip(a.rows, b.rows)]),
-    )
+    m = _common_modulus(a, b, "mat_mul_hadamard")
+    return _reduced(m, tuple([
+        tuple([x * y % m for x, y in zip(ra, rb)]) for ra, rb in zip(a.rows, b.rows)
+    ]))
 
 
 def _product(mode: str):
@@ -135,10 +136,11 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
 
 def random_matrix(rng: random.Random, n: int, modulus: int) -> MatrixElement:
     """A uniform n x n matrix over Z/modulus: its n^2 entries in one draw."""
+    if n < 1 or modulus < 2:
+        raise UsageError(f"random matrix needs n >= 1 and modulus >= 2: {n}, {modulus}")
     flat = rng.choices(range(modulus), k=n * n)
-    return MatrixElement(
-        modulus, tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
-    )
+    rows = tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
+    return _reduced(modulus, rows)
 
 
 def all_matrices(n: int, modulus: int) -> Iterator[MatrixElement]:

@@ -56,6 +56,7 @@ class TestGoldenFiles:
             ("scaled_units_12", ["scaled-units", "--modulus", "12"]),
             ("enumerate_2_6", ["enumerate", "--group", "2,6"]),
             ("enumerate_2_2_2", ["enumerate", "--group", "2,2,2"]),
+            ("matrix_demo_8_11", ["matrix-demo", "--n", "8", "--mod", "11"]),
         ],
     )
     def test_byte_stable(self, name, args):
@@ -452,13 +453,18 @@ class TestWorkCharges:
     def test_verify_scaled_charge_bounds_multiplications(self, monkeypatch, a, bound):
         # 12 per identity sample exactly; the unit scan within 3(2b + 1)
         count = [0]
-        call = ScaledMult.__call__
 
-        def counted(self, n, m):
-            count[0] += 1
-            return call(self, n, m)
+        def counting(scale):
+            mul = ScaledMult(scale)
 
-        monkeypatch.setattr(ScaledMult, "__call__", counted)
+            def counted(n, m):
+                count[0] += 1
+                return mul(n, m)
+
+            return counted
+
+        monkeypatch.setattr(scaled, "ScaledMult", counting)
+        monkeypatch.setattr(cli, "ScaledMult", counting)
         counts = []
         for samples in (0, 7):
             count[0] = 0

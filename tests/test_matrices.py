@@ -35,6 +35,32 @@ class TestMatrixElement:
             MatrixElement(1, ((0,),))
 
 
+class TestTrustedKernels:
+    # the kernels skip the public constructor, so each result must already
+    # be what MatrixElement(...) makes of its rows
+    @pytest.mark.parametrize("modulus", [2, 7, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_results_are_reduced(self, n, modulus):
+        rng = random.Random(100 * n + modulus)
+        top = m(modulus, *[[modulus - 1] * n] * n)  # every sum and product wraps
+        results = [f(top, top) for f in (mat_add, mat_mul_standard, mat_mul_hadamard)]
+        for _ in range(20):
+            a = random_matrix(rng, n, modulus)
+            b = random_matrix(rng, n, modulus)
+            results += [a, mat_add(a, b), mat_mul_standard(a, b), mat_mul_hadamard(a, b)]
+        for result in results:
+            assert result.modulus == modulus and result.n == n
+            for row in result.rows:
+                assert type(row) is tuple and all(x in range(modulus) for x in row)
+            public = MatrixElement(result.modulus, result.rows)
+            assert result == public and hash(result) == hash(public)
+
+    @pytest.mark.parametrize("n,modulus", [(0, 7), (-1, 7), (2, 1), (2, 0)])
+    def test_random_matrix_validates_its_arguments(self, n, modulus):
+        with pytest.raises(UsageError):
+            random_matrix(random.Random(0), n, modulus)
+
+
 class TestAddition:
     def test_entrywise_mod_5(self):
         a = m(5, [1, 2], [3, 4])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,8 +47,27 @@ class TestMakeScaled:
         assert mul(17, -23) == 0
 
     def test_overflow_checked(self):
-        with pytest.raises(IntegerOverflowError):
+        message = (
+            f"integer {10**20} exceeds the checked capacity {INT_CAPACITY} "
+            "in 10000000000*100000*100000"
+        )
+        with pytest.raises(IntegerOverflowError, match=re.escape(message)):
             ScaledMult(10**10)(10**5, 10**5)
+
+    @pytest.mark.parametrize("a", [1, -1, -8])
+    def test_black_box_of_verify_scaled_form(self, a):
+        mul = ScaledMult(a)
+        seen = set()
+
+        def spy(n, m):
+            seen.add((n, m))
+            return mul(n, m)
+
+        report = verify_scaled_form(spy, IntegerWindow(20))
+        assert report.ok and report.scale == a and not report.rejected
+        assert report.counterexample is None
+        window = range(-20, 21)
+        assert seen >= {(n, m) for n in window for m in window}
 
 
 class TestAlternate:
