@@ -12,7 +12,7 @@ as soon as every cell it reads is fixed, so a failing partial table is
 cut with all its extensions. The triple reads cells (i, j) and (j, l),
 cell (s, l) where C[i][j]_s != 0 and cell (i, s) where C[j][l]_s != 0.
 The depth of the last of these depends only on the values of cells
-(i, j) and (j, l), so each depth has one fixed list of the triples that
+(i, j) and (j, l), so ``_plan`` fixes per depth the triples that
 may fall due there. A due triple that reads the new cell only as (s, l)
 or (i, s) is linear in it, one congruence per coordinate, so it is
 solved: the search tries only the values every such triple admits. A
@@ -125,68 +125,56 @@ def _reach(x: tuple[int, ...]) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
-    """(order, sets, reaches, tests): the search order, and per depth the
-    candidates, their ``_reach``es and the triples that may be due there.
+    """Per depth d, the step (cell, coords, reach_of, solved, tested).
 
-    The candidates of cell (i, j) are the x with d*x = 0 for d = gcd(n_i,
-    n_j): in a factor Z/n the multiples of n / gcd(n, d), so each set comes
-    out in lexicographic order without a scan of the group.
+    ``cell`` is the d-th cell of ``_order``, (i, j). Its candidates are the
+    x with g*x = 0 for g = gcd(n_i, n_j): in a factor Z/n the multiples of
+    n / gcd(n, g), listed as ``coords[t]`` for coordinate t, so their
+    product comes out in lexicographic order without a scan of the group.
+    ``reach_of`` maps each candidate, in that order, to its ``_reach``.
 
     Triple (i, j, l) is due where the last cell it reads is fixed:
     due[reach(C[i][j])][reach(C[j][l])] with due[ra][rb] = max(anchor,
     left[ra], right[rb]), where ``anchor`` is the depth of the later of
     cells (i, j) and (j, l), ``left[r]`` that of cell (r - 1, l),
     ``right[r]`` that of cell (i, r - 1), and 0 for the zero vector (see
-    ``_order``). The triple and its table are listed in ``tests[d]`` for
-    every depth d the table gives on the reaches those two cells' sets hold,
-    taken as one reach for both when the two cells are one (i == j == l).
+    ``_order``). The triple and its table are listed at every depth d the
+    table gives on the reaches those two cells' candidates hold, taken as
+    one reach for both when the two cells are one (i == j == l). The entry
+    is ``tested`` at d if the cell there is its (i, j) or (j, l), and
+    ``solved`` otherwise: it reads that cell only as (s, l) or (i, s), so
+    it is linear in it.
     """
     k = len(moduli)
     order = _order(k)
     depth = {cell: d for d, cell in enumerate(order)}
-    sets = tuple(
-        tuple(itertools.product(*(range(0, n, n // math.gcd(n, d)) for n in moduli)))
-        for d in (math.gcd(moduli[i], moduli[j]) for i, j in order)
-    )
-    reaches = tuple(tuple(map(_reach, values)) for values in sets)
-    tests: list[list[tuple]] = [[] for _ in order]
+    coords = [
+        tuple(tuple(range(0, n, n // math.gcd(n, g))) for n in moduli)
+        for g in (math.gcd(moduli[i], moduli[j]) for i, j in order)
+    ]
+    reach_of = [{x: _reach(x) for x in itertools.product(*c)} for c in coords]
+    solved: list[list[tuple]] = [[] for _ in order]
+    tested: list[list[tuple]] = [[] for _ in order]
     r = range(k)
     for i, j, l in itertools.product(r, r, r):
         anchor = max(depth[i, j], depth[j, l])
         left = (0,) + tuple(depth[s, l] for s in r)
         right = (0,) + tuple(depth[i, s] for s in r)
         due = tuple(tuple(max(anchor, a, b) for b in right) for a in left)
-        held = itertools.product(set(reaches[depth[i, j]]), set(reaches[depth[j, l]]))
+        held = itertools.product(
+            set(reach_of[depth[i, j]].values()), set(reach_of[depth[j, l]].values())
+        )
         if i == j == l:  # cells (i, j) and (j, l) are one cell, with one reach
             held = ((ra, rb) for ra, rb in held if ra == rb)
         for d in {due[ra][rb] for ra, rb in held}:
-            tests[d].append((i, j, l, due))
-    return tuple(order), sets, reaches, tuple(map(tuple, tests))
+            entries = tested if order[d] in ((i, j), (j, l)) else solved
+            entries[d].append((i, j, l, due))
+    return tuple(zip(order, coords, reach_of, map(tuple, solved), map(tuple, tested)))
 
 
-@functools.lru_cache(maxsize=16)
-def _split(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
-    """Per depth d: (cell, coords, solved, tested, reach_of), from ``_plan``.
-
-    ``cell`` is order[d], and ``coords[t]`` lists coordinate t of its
-    candidates, whose product is sets[d]. An entry of tests[d] is
-    ``solved`` if it reads the cell only as (s, l) or (i, s), so it is
-    linear in the cell, and ``tested`` if the cell is its (i, j) or (j, l).
-    ``reach_of`` maps each candidate to its ``_reach``.
-    """
-    order, sets, reaches, tests = _plan(moduli)
-    split = []
-    for (a, b), values, held, listed in zip(order, sets, reaches, tests):
-        tested = tuple(e for e in listed if (a, b) in (e[:2], e[1:3]))
-        solved = tuple(e for e in listed if e not in tested)
-        coords = tuple(tuple(sorted(set(column))) for column in zip(*values))
-        split.append(((a, b), coords, solved, tested, dict(zip(values, held))))
-    return tuple(split)
-
-
-def _solve(moduli: tuple[int, ...], table, reach, depth: int) -> list[list[int]]:
-    """Per coordinate t, the values of cell (a, b) = order[depth] that every
-    solved triple due there admits; their product is the cell's candidates.
+def _solve(moduli: tuple[int, ...], table, reach, depth: int, step) -> list[list[int]]:
+    """Per coordinate t, the values of cell (a, b) of ``step``, the plan's
+    step at ``depth``, that every solved triple due there admits.
 
     Such a triple (i, j, l) reads x = C[a][b] as C[s][l] for s = a when
     l == b and as C[i][s] for s = b when i == a, so in coordinate t it says
@@ -195,7 +183,7 @@ def _solve(moduli: tuple[int, ...], table, reach, depth: int) -> list[list[int]]
     ``associative_triple`` a zero coefficient reads no cell, so only cells
     fixed at earlier depths are read.
     """
-    (a, b), coords, solved, _, _ = _split(moduli)[depth]
+    (a, b), coords, _, solved, _ = step
     values = list(coords)
     r = range(len(moduli))
     for i, j, l, due in solved:
@@ -225,24 +213,23 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
 
     task = (moduli, values of the first cells, cap). A node is one value
     tried in one cell; past ``cap`` nodes the search stops and reports
-    cap + 1. On entering a depth the search solves that cell's ``solved``
-    triples (see ``_split``) whose due depth, looked up from the reaches of
-    the cells fixed so far, is that depth, and tries only the values they
-    admit, in lexicographic order. Each tried value then meets the due
-    entries of ``tested``, so each triple is checked once per path. A
-    failing tested triple moves to the front of its list, so the triple
-    that cuts most is tried first. The prefix cells pass every entry of
-    ``tests`` due at their depths; a prefix that fails one returns no
-    tables and no nodes.
+    cap + 1. On entering a depth the search solves the ``solved`` entries
+    of that depth's step (see ``_plan``) whose due depth, looked up from
+    the reaches of the cells fixed so far, is that depth, and tries only
+    the values they admit, in lexicographic order. Each tried value then
+    meets the due entries of ``tested``, so each triple is checked once per
+    path. A failing tested triple moves to the front of its list, so the
+    triple that cuts most is tried first. The prefix cells pass every entry
+    of ``solved`` and ``tested`` due at their depths; a prefix that fails
+    one returns no tables and no nodes.
     """
     moduli, prefix, cap = task
-    order, _, _, tests = _plan(moduli)
-    split = _split(moduli)
-    checks_at = [list(tested) for _, _, _, tested, _ in split]
+    plan = _plan(moduli)
+    checks_at = [list(tested) for *_, tested in plan]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
     reach = [[0] * k for _ in range(k)]
-    for (i, j), x in zip(order, prefix):
+    for ((i, j), *_), x in zip(plan, prefix):
         table[i][j] = x
         reach[i][j] = _reach(x)
     found = []
@@ -261,13 +248,13 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
 
     def extend(depth: int) -> None:
         nonlocal nodes
-        if depth == len(order):
+        if depth == len(plan):
             found.append(tuple(map(tuple, table)))
             return
-        a, b = order[depth]
+        step = plan[depth]
+        (a, b), _, reach_of, _, _ = step
         row, reach_row = table[a], reach[a]
-        reach_of = split[depth][4]
-        for x in itertools.product(*_solve(moduli, table, reach, depth)):
+        for x in itertools.product(*_solve(moduli, table, reach, depth, step)):
             if nodes >= cap:
                 nodes = cap + 1
                 return
@@ -279,8 +266,8 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
 
     if all(
         due[reach[i][j]][reach[j][l]] != d or associative_triple(moduli, table, i, j, l)
-        for d in range(len(prefix))
-        for i, j, l, due in tests[d]
+        for d, (*_, solved, tested) in enumerate(plan[: len(prefix)])
+        for i, j, l, due in solved + tested
     ):
         extend(len(prefix))
     found.sort()
@@ -318,7 +305,8 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
 
     # the parent visits every prefix node; a part whose prefix fails adds none
     spend(sum(math.prod(sizes[: d + 1]) for d in range(len(sizes))))
-    prefixes = itertools.product(*_plan(moduli)[1][:PREFIX_CELLS])
+    steps = _plan(moduli)[:PREFIX_CELLS]
+    prefixes = itertools.product(*(itertools.product(*c) for _, c, *_ in steps))
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
     else:

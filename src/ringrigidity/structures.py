@@ -22,7 +22,8 @@ screens the coordinate tuples, one linear congruence per generator,
 coordinate and side. A screen's solutions depend only on the group and the
 congruence, so each is built once as a bitmask over the elements in
 lexicographic order and cached (``_screen``); a table ANDs at most 2k^2 of
-them. ``find_unit`` verifies the survivor and makes it an element.
+them. ``find_unit`` verifies the survivor, raising if it fails, and makes
+it an element.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
@@ -47,7 +48,7 @@ from .abelian import (
     checked,
     element_order,
 )
-from .errors import IntegerOverflowError, UsageError
+from .errors import IntegerOverflowError, InvariantViolation, UsageError
 
 BlackBoxMul = Callable[[int, int], int]
 
@@ -262,14 +263,15 @@ def unit_coords(moduli: tuple[int, ...], table) -> Optional[tuple[int, ...]]:
 
 def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     """The unique two-sided identity, or None: the ``unit_coords`` survivor,
-    verified on both sides against every element, becomes an element."""
+    verified on both sides against every element, becomes an element. By
+    bilinearity the survivor is the unit, so a failed check is a bug."""
     everything = all_coords(constants.group)  # the element cap, before any screen
     u = unit_coords(constants.group.moduli, constants.table)
-    if u is not None and (
-        constants.product_row(u) == list(everything) == constants.product_column(u)
-    ):
+    if u is None:
+        return None
+    if constants.product_row(u) == list(everything) == constants.product_column(u):
         return GroupElement(constants.group, u)
-    return None
+    raise InvariantViolation(f"the unit screens' survivor {u} is not a two-sided unit")
 
 
 @dataclass(frozen=True)

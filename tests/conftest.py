@@ -197,3 +197,17 @@ def element_count(monkeypatch):
 def unit_at_every_scale(monkeypatch):
     """Make every scaled ring report a unit, so scale 0 breaks the +-1 rule."""
     monkeypatch.setattr(scaled, "find_unit", lambda constants: constants.group.zero())
+
+
+@pytest.fixture
+def rotated_column(monkeypatch):
+    """Rotate every ``product_column`` by one entry, so the unit screens'
+    survivor fails ``find_unit``'s two-sided check; tables without a unit
+    never reach the check."""
+    original = StructureConstants.product_column
+
+    def rotated(self, y):
+        column = original(self, y)
+        return column[1:] + column[:1]
+
+    monkeypatch.setattr(StructureConstants, "product_column", rotated)

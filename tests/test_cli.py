@@ -436,6 +436,14 @@ class TestWorkCharges:
         assert doc["status"] == "error"
         assert "scale" in doc["payload"]["message"]
 
+    def test_scaled_units_failed_unit_check_is_five(self, rotated_column):
+        # the base ring's unit fails find_unit's two-sided check: a bug
+        code, doc = run_json("scaled-units", "--modulus", "12")
+        assert code == 5
+        jsonschema.validate(doc, SCHEMA)
+        assert doc["status"] == "error"
+        assert "not a two-sided unit" in doc["payload"]["message"]
+
     @pytest.mark.parametrize(
         "window",
         [("--bound", "1000000000"), ("--bound", "10", "--samples", "1000000000")],

@@ -22,12 +22,16 @@ from ringrigidity import (
     search_space_size,
 )
 from ringrigidity import enumeration
+from ringrigidity.abelian import all_coords
 from ringrigidity.structures import associative_triple
 
 from conftest import exhaustive_census, factor_sequences, object_path_census
 
 # 2,2 visits exactly this many search nodes (cell values tried)
 KLEIN_NODES = 88
+
+# the groups whose census plan is checked step by step
+SCHEDULE_GROUPS = [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)]
 
 
 def coords_tables(spec, config=SearchConfig()):
@@ -253,7 +257,7 @@ class TestObjectPathOracle:
         # a pool worker pickles its part's tables as nested int tuples,
         # with no library object in them
         moduli = (2, 2, 4)
-        sets = enumeration._plan(moduli)[1]
+        sets = [list(reach_of) for _, _, reach_of, _, _ in enumeration._plan(moduli)]
         task = (moduli, (sets[0][1], sets[1][1]), enumeration.DEFAULT_BUDGET)
         part = enumeration._part(task)
         tables, nodes = part
@@ -393,9 +397,7 @@ class TestPrimaryDecomposition:
 
 class TestSchedule:
     @pytest.mark.parametrize(
-        "moduli",
-        [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)],
-        ids=lambda m: ",".join(map(str, m)),
+        "moduli", SCHEDULE_GROUPS, ids=lambda m: ",".join(map(str, m))
     )
     def test_each_triple_due_once_at_its_last_read_cell(self, moduli):
         # the search tests an entry of tests[d] when its table, looked up at
@@ -403,7 +405,10 @@ class TestSchedule:
         # values that must happen at exactly one depth, the deepest of the
         # cells the triple reads: (i, j), (j, l), (s, l) where C[i][j]_s != 0
         # and (i, s) where C[j][l]_s != 0
-        order, sets, _, tests = enumeration._plan(moduli)
+        plan = enumeration._plan(moduli)
+        order = [cell for cell, *_ in plan]
+        sets = [list(itertools.product(*coords)) for _, coords, *_ in plan]
+        tests = [solved + tested for *_, solved, tested in plan]
         depth = {cell: d for d, cell in enumerate(order)}
         r = range(len(moduli))
 
@@ -433,12 +438,37 @@ class TestSchedule:
                 used.update(tested)
             assert used == {d for d, _ in listed}, (i, j, l)
 
+    @pytest.mark.parametrize(
+        "moduli", SCHEDULE_GROUPS, ids=lambda m: ",".join(map(str, m))
+    )
+    def test_steps_match_a_scan_of_the_group(self, moduli):
+        # each cell once; its candidates are the x with gcd(n_i, n_j)*x = 0,
+        # found by a scan of every element; reach_of is the last non-zero
+        # coordinate plus one; an entry is tested where the cell is its
+        # (i, j) or (j, l), else solved, and never both or twice
+        r = range(len(moduli))
+        plan = enumeration._plan(moduli)
+        assert sorted(cell for cell, *_ in plan) == list(itertools.product(r, r))
+        elements = list(all_coords(GroupSpec(moduli)))
+        for (i, j), coords, reach_of, solved, tested in plan:
+            g = math.gcd(moduli[i], moduli[j])
+            expected = [
+                x for x in elements if all(g * c % n == 0 for c, n in zip(x, moduli))
+            ]
+            assert list(itertools.product(*coords)) == expected, (i, j)
+            assert reach_of == {
+                x: max((s + 1 for s in r if x[s]), default=0) for x in expected
+            }
+            assert list(reach_of) == expected
+            entries = solved + tested
+            assert len(set(entries)) == len(entries), (i, j)
+            assert all((i, j) in (e[:2], e[1:3]) for e in tested), (i, j)
+            assert not any((i, j) in (e[:2], e[1:3]) for e in solved), (i, j)
+
 
 class TestLinearSolve:
     @pytest.mark.parametrize(
-        "moduli",
-        [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)],
-        ids=lambda m: ",".join(map(str, m)),
+        "moduli", SCHEDULE_GROUPS, ids=lambda m: ",".join(map(str, m))
     )
     def test_solve_matches_brute_force(self, moduli):
         # on seeded random partial tables at every depth d, the solved
@@ -446,7 +476,9 @@ class TestLinearSolve:
         # triple due at d that reads the cell but not as (i, j) or (j, l);
         # every unfixed cell, (a, b) too, holds None and has reach None, so
         # the solve reads none of them
-        order, sets, _, _ = enumeration._plan(moduli)
+        plan = enumeration._plan(moduli)
+        order = [cell for cell, *_ in plan]
+        sets = [list(itertools.product(*coords)) for _, coords, *_ in plan]
         depth = {cell: d for d, cell in enumerate(order)}
         k = len(moduli)
         r = range(k)
@@ -470,7 +502,9 @@ class TestLinearSolve:
                     table[i][j] = rng.choice(sets[depth[i, j]])
                     reaches[i][j] = reach(table[i][j])
                 solved = list(
-                    itertools.product(*enumeration._solve(moduli, table, reaches, d))
+                    itertools.product(
+                        *enumeration._solve(moduli, table, reaches, d, plan[d])
+                    )
                 )
                 linear = [
                     (i, j, l)
@@ -488,14 +522,6 @@ class TestLinearSolve:
         if math.gcd(*moduli) > 1 and k > 1:
             assert cut  # the solve did cut, so the comparison is not vacuous
 
-    def test_split_covers_each_entry_once(self):
-        # every entry of tests[d] is either solved or tested at d, not both
-        order, _, _, tests = enumeration._plan((2, 4, 4))
-        for cell, listed, split in zip(order, tests, enumeration._split((2, 4, 4))):
-            _, _, solved, tested, _ = split
-            assert sorted(solved + tested) == sorted(listed)
-            assert all(cell in (e[:2], e[1:3]) for e in tested)
-            assert not any(cell in (e[:2], e[1:3]) for e in solved)
 
 class TestDeterminismAndParallelism:
     def test_two_runs_identical(self):

@@ -11,6 +11,7 @@ from ringrigidity import (
     GroupSpec,
     IntegerOverflowError,
     IntegerWindow,
+    InvariantViolation,
     RingStructure,
     ScaledMult,
     SearchConfig,
@@ -297,6 +298,15 @@ class TestFindUnit:
     def test_klein_field_unit(self):
         c = klein_field_constants()
         assert find_unit(c) == c.group.element((1, 0))
+
+    def test_failed_two_sided_check_raises(self, rotated_column):
+        # by bilinearity the screens' survivor is the unit, so a kernel that
+        # disagrees with them is a bug, never "no unit"
+        with pytest.raises(InvariantViolation, match="not a two-sided unit"):
+            find_unit(cyclic_constants(4, 1))
+        with pytest.raises(InvariantViolation, match="not a two-sided unit"):
+            find_unit(klein_field_constants())
+        assert find_unit(cyclic_constants(4, 2)) is None
 
     @pytest.mark.parametrize(
         "moduli",
