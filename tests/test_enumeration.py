@@ -522,6 +522,25 @@ class TestLinearSolve:
         if math.gcd(*moduli) > 1 and k > 1:
             assert cut  # the solve did cut, so the comparison is not vacuous
 
+    def test_split_covers_each_entry_once(self):
+        # every entry of a step is either solved or tested there, not both;
+        # each triple is tested at the later of its cells (i, j) and (j, l),
+        # where the zero vector, a candidate of every cell, puts it due
+        plan = enumeration._plan((2, 4, 4))
+        depth = {cell: d for d, (cell, *_) in enumerate(plan)}
+        anchors = set()
+        for d, (cell, _, _, solved, tested) in enumerate(plan):
+            entries = [e[:3] for e in solved + tested]
+            assert len(set(entries)) == len(entries), cell
+            assert all(cell in (e[:2], e[1:3]) for e in tested)
+            assert not any(cell in (e[:2], e[1:3]) for e in solved)
+            anchors.update(
+                (i, j, l)
+                for i, j, l, _ in tested
+                if d == max(depth[i, j], depth[j, l])
+            )
+        assert anchors == set(itertools.product(range(3), repeat=3))
+
 
 class TestDeterminismAndParallelism:
     def test_two_runs_identical(self):
