@@ -15,6 +15,7 @@ payload.message. All numbers in the payload are exact integers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -292,6 +293,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # one parser serves every run of the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringrigidity",

@@ -26,6 +26,14 @@ time in-process. Each part sorts its tables row-major (for rank <= 2 the
 search order already is), so every run emits in lexicographic order of
 the flattened table; a part returns int tuples.
 
+The transpose C'[i][j] = C[j][i] of a table is the table of the opposite
+ring, with the same addition. So ``rigidity_report`` searches only the
+tables that are at most their transpose in search order, where each
+mirror pair (a, m), (m, a) comes as two adjacent cells, and counts each
+searched table twice, or once when it is symmetric. Its nodes, and its
+budget, are those of that smaller search. ``enumerate_multiplications``
+and the Z/N stream stay the complete, lexicographic stream.
+
 The census charges the budget per node. A solve runs once per node that
 passes, and its work is bounded by the plan's size. The parent charges
 the prefix nodes from the set sizes prod_t gcd(n_t, n_i, n_j) before it
@@ -211,27 +219,33 @@ def _solve(moduli: tuple[int, ...], table, reach, depth: int, step) -> list[list
 def _part(task: tuple) -> tuple[list[tuple], int]:
     """Tables extending one prefix, as sorted int tuples, and the nodes visited.
 
-    task = (moduli, values of the first cells, cap). A node is one value
-    tried in one cell; past ``cap`` nodes the search stops and reports
-    cap + 1. On entering a depth the search solves the ``solved`` entries
-    of that depth's step (see ``_plan``) whose due depth, looked up from
-    the reaches of the cells fixed so far, is that depth, and tries only
-    the values they admit, in lexicographic order. Each tried value then
+    task = (moduli, values of the first cells, cap, canonical). A node is
+    one value tried in one cell; past ``cap`` nodes the search stops and
+    reports cap + 1. On entering a depth the search solves the ``solved``
+    entries of that depth's step (see ``_plan``) whose due depth, looked up
+    from the reaches of the cells fixed so far, is that depth, and tries
+    only the values they admit, in lexicographic order. Each tried value then
     meets the due entries of ``tested``, so each triple is checked once per
     path. A failing tested triple moves to the front of its list, so the
     triple that cuts most is tried first. The prefix cells pass every entry
     of ``solved`` and ``tested`` due at their depths; a prefix that fails
     one returns no tables and no nodes.
+
+    With ``canonical`` the search keeps only the tables that are at most
+    their transpose in search order: while every mirror pair so far is
+    symmetric (``tied``), cell (a, b) with a > b drops the values below
+    C[b][a] before they become nodes. The prefix cells 00 and 01 close no
+    mirror pair, so every prefix starts tied.
     """
-    moduli, prefix, cap = task
+    moduli, prefix, cap, canonical = task
     plan = _plan(moduli)
     checks_at = [list(tested) for *_, tested in plan]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
     reach = [[0] * k for _ in range(k)]
-    for ((i, j), *_), x in zip(plan, prefix):
+    for ((i, j), _, reach_of, *_), x in zip(plan, prefix):
         table[i][j] = x
-        reach[i][j] = _reach(x)
+        reach[i][j] = reach_of[x]
     found = []
     nodes = 0
 
@@ -246,7 +260,7 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
                 return False
         return True
 
-    def extend(depth: int) -> None:
+    def extend(depth: int, tied: bool) -> None:
         nonlocal nodes
         if depth == len(plan):
             found.append(tuple(map(tuple, table)))
@@ -254,7 +268,11 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
         step = plan[depth]
         (a, b), _, reach_of, _, _ = step
         row, reach_row = table[a], reach[a]
-        for x in itertools.product(*_solve(moduli, table, reach, depth, step)):
+        values = itertools.product(*_solve(moduli, table, reach, depth, step))
+        mirror = table[b][a] if tied and a > b else None
+        if mirror is not None:  # lexicographic, so the values below come first
+            values = itertools.dropwhile(mirror.__gt__, values)
+        for x in values:
             if nodes >= cap:
                 nodes = cap + 1
                 return
@@ -262,25 +280,28 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
             row[b] = x
             reach_row[b] = reach_of[x]
             if passes(depth):
-                extend(depth + 1)
+                extend(depth + 1, tied and (mirror is None or x == mirror))
 
     if all(
         due[reach[i][j]][reach[j][l]] != d or associative_triple(moduli, table, i, j, l)
         for d, (*_, solved, tested) in enumerate(plan[: len(prefix)])
         for i, j, l, due in solved + tested
     ):
-        extend(len(prefix))
+        extend(len(prefix), canonical)
     found.sort()
     return found, nodes
 
 
-def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
+def _tables(
+    spec: GroupSpec, config: SearchConfig, canonical: bool = False
+) -> Iterator[tuple]:
     """Every associative table on the group, exactly once, as coordinate tuples.
 
     Emitted in lexicographic order of the flattened constant table. Every
     node of the search is charged against the budget, and the search
     raises once the count exceeds it. The prefix nodes are charged from
-    the set sizes alone, before any candidate set is built.
+    the set sizes alone, before any candidate set is built. With
+    ``canonical`` it keeps one table of each mirror pair (see ``_part``).
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
@@ -316,10 +337,10 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
         run, size = (map, 1) if pool is None else (pool.map, POOL_CHUNK)
         for chunk in iter(lambda: list(itertools.islice(prefixes, size)), []):
             share = (budget - spent) // len(chunk)
-            tasks = [(moduli, prefix, share) for prefix in chunk]
+            tasks = [(moduli, prefix, share, canonical) for prefix in chunk]
             for prefix, (tables, nodes) in zip(chunk, run(_part, tasks)):
                 if nodes > share and share < budget - spent:  # cut short below the rest
-                    tables, nodes = _part((moduli, prefix, budget - spent))
+                    tables, nodes = _part((moduli, prefix, budget - spent, canonical))
                 spend(nodes)
                 yield from tables
 
@@ -384,30 +405,41 @@ def rigidity_report(
 ) -> RigidityReport:
     """Count the census on its coordinate tables; only the examples become rings.
 
-    On Z/N it reads the checked stream, so a mismatch raises.
+    It searches one table of each mirror pair, a table and its transpose
+    (the opposite ring), and counts it twice, or once when it is
+    symmetric; only the searched tables meet the unit screen. The examples
+    are the two smallest unital tables among those and their transposes,
+    so the first two of the complete stream. On Z/N, where every table is
+    symmetric, it reads the checked stream, so a mismatch raises.
     """
     total = 0
     commutative = 0
     unital = 0
     scales: list[int] = []
-    examples: list[RingStructure] = []
-    stream = _cyclic_rings if spec.is_cyclic else _tables
-    for table in stream(spec, config):
-        total += 1
-        commutative += commutative_table(table)
+    smallest: list[tuple] = []
+    if spec.is_cyclic:
+        stream = _cyclic_rings(spec, config)
+    else:
+        stream = _tables(spec, config, canonical=True)
+    for table in stream:
+        symmetric = commutative_table(table)
+        weight = 1 if symmetric else 2
+        total += weight
+        commutative += symmetric
         if unit_coords(spec.moduli, table) is not None:
-            unital += 1
+            unital += weight
             if spec.is_cyclic:
                 scales.append(table[0][0][0])
-            if len(examples) < 2:
-                examples.append(RingStructure(StructureConstants(spec, table)))
+            smallest = sorted({*smallest, table, tuple(zip(*table))})[:2]
     return RigidityReport(
         group=spec,
         total=total,
         commutative_count=commutative,
         unital_count=unital,
         unital_scales=tuple(sorted(scales)) if spec.is_cyclic else None,
-        unital_examples=tuple(examples),
+        unital_examples=tuple(
+            RingStructure(StructureConstants(spec, t)) for t in smallest
+        ),
         search_space=search_space_size(spec),
     )
 

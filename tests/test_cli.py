@@ -145,26 +145,27 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_capacity_is_three(self, monkeypatch):
-        # 2,2 visits 88 search nodes: that budget passes, one less exits 3
+        # the census of 2,2 visits 77 search nodes: that budget passes, one
+        # less exits 3
         for workers in ("1", "2"):
-            monkeypatch.setenv("RIGIDITY_BUDGET", "87")
+            monkeypatch.setenv("RIGIDITY_BUDGET", "76")
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 3
-            assert "more than 87 search nodes" in doc["payload"]["message"]
-            monkeypatch.setenv("RIGIDITY_BUDGET", "88")
+            assert "more than 76 search nodes" in doc["payload"]["message"]
+            monkeypatch.setenv("RIGIDITY_BUDGET", "77")
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 0 and doc["payload"]["total"] == 28
 
     @pytest.mark.parametrize(
         "group,nodes,counts,workers",
         [
-            pytest.param("2,2,2", 22_058, [1688, 988, 532], "1", id="2,2,2"),
-            # a part's share is 343 nodes and the largest part has 2,250,
+            pytest.param("2,2,2", 14_259, [1688, 988, 532], "1", id="2,2,2"),
+            # a part's share is 221 nodes and the largest part has 1,649,
             # so the pool's parts are cut short and run again in the parent
             pytest.param(
-                "2,2,2", 22_058, [1688, 988, 532], "2", id="2,2,2-workers2"
+                "2,2,2", 14_259, [1688, 988, 532], "2", id="2,2,2-workers2"
             ),
-            pytest.param("2,2,4", 112_870, [4864, 2272, 992], "1", id="2,2,4"),
+            pytest.param("2,2,4", 64_333, [4864, 2272, 992], "1", id="2,2,4"),
         ],
     )
     def test_rank_three_node_boundary(self, monkeypatch, group, nodes, counts, workers):
@@ -195,7 +196,7 @@ class TestExitCodes:
         assert code == 0
         assert len(prefixes) == len(set(prefixes)) == 64
         prefixes.clear()
-        monkeypatch.setenv("RIGIDITY_BUDGET", "112869")
+        monkeypatch.setenv("RIGIDITY_BUDGET", "64332")
         code, doc = run_json("enumerate", "--group", "2,2,4")
         assert code == 3
         assert len(prefixes) == len(set(prefixes))

@@ -33,6 +33,9 @@ KLEIN_NODES = 88
 # the groups whose census plan is checked step by step
 SCHEDULE_GROUPS = [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)]
 
+# those whose complete census is small enough to compare table by table
+SMALL_GROUPS = [m for m in SCHEDULE_GROUPS if math.prod(m) <= 16]
+
 
 def coords_tables(spec, config=SearchConfig()):
     return [r.mult.table for r in enumerate_multiplications(spec, config)]
@@ -258,7 +261,7 @@ class TestObjectPathOracle:
         # with no library object in them
         moduli = (2, 2, 4)
         sets = [list(reach_of) for _, _, reach_of, _, _ in enumeration._plan(moduli)]
-        task = (moduli, (sets[0][1], sets[1][1]), enumeration.DEFAULT_BUDGET)
+        task = (moduli, (sets[0][1], sets[1][1]), enumeration.DEFAULT_BUDGET, True)
         part = enumeration._part(task)
         tables, nodes = part
         assert tables and nodes
@@ -269,22 +272,23 @@ class TestCountPathAgainstObjectPath:
     """``rigidity_report`` counts on tables; the public stream builds rings."""
 
     @pytest.mark.parametrize(
-        "moduli",
-        [m for m in factor_sequences(16) if len(m) <= 2] + [(3, 9), (2, 2, 2)],
-        ids=lambda m: ",".join(map(str, m)),
+        "moduli", SMALL_GROUPS + [(3, 9)], ids=lambda m: ",".join(map(str, m))
     )
     def test_report_matches_ring_flags(self, moduli):
+        # the report searches one table of each mirror pair; the public
+        # stream builds every ring, and each ring derives its own flags
         spec = GroupSpec(moduli)
         rings = list(enumerate_multiplications(spec))
         unital = [ring for ring in rings if ring.unit is not None]
-        report = rigidity_report(spec)
-        assert (report.total, report.commutative_count, report.unital_count) == (
-            len(rings), sum(ring.commutative for ring in rings), len(unital)
-        )
-        assert report.unital_examples == tuple(unital[:2])
-        if spec.is_cyclic:
-            scales = tuple(ring.mult.table[0][0][0] for ring in unital)
-            assert report.unital_scales == scales
+        for workers in (1, 2):
+            report = rigidity_report(spec, SearchConfig(workers=workers))
+            assert (report.total, report.commutative_count, report.unital_count) == (
+                len(rings), sum(ring.commutative for ring in rings), len(unital)
+            )
+            assert report.unital_examples == tuple(unital[:2])
+            if spec.is_cyclic:
+                scales = tuple(ring.mult.table[0][0][0] for ring in unital)
+                assert report.unital_scales == scales
 
     @pytest.mark.parametrize("modulus", range(2, 49))
     def test_classify_units_match_ring_units(self, modulus):
@@ -540,6 +544,32 @@ class TestLinearSolve:
                 if d == max(depth[i, j], depth[j, l])
             )
         assert anchors == set(itertools.product(range(3), repeat=3))
+
+
+def transpose(table):
+    """The table of the opposite ring: entry (i, j) is entry (j, i)."""
+    return tuple(zip(*table))
+
+
+class TestCanonicalSearch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "moduli", SMALL_GROUPS, ids=lambda m: ",".join(map(str, m))
+    )
+    def test_each_mirror_pair_searched_once(self, moduli, workers):
+        # the canonical stream is sorted, never holds a table together with
+        # its distinct transpose, and with the transposes it is the complete
+        # stream
+        spec = GroupSpec(moduli)
+        config = SearchConfig(workers=workers)
+        complete = list(enumeration._tables(spec, config))
+        canonical = list(enumeration._tables(spec, config, canonical=True))
+        assert canonical == sorted(canonical)
+        emitted = set(canonical)
+        assert not any(transpose(t) != t and transpose(t) in emitted for t in canonical)
+        assert emitted | set(map(transpose, canonical)) == set(complete)
+        if len(moduli) > 1 and math.gcd(*moduli[:2]) > 1:
+            assert len(canonical) < len(complete)  # the filter did cut
 
 
 class TestDeterminismAndParallelism:
