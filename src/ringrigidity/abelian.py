@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import CapacityError, IntegerOverflowError, UsageError
@@ -40,22 +39,58 @@ def checked(value: int, context: str = "") -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """The group Z/n_1 x ... x Z/n_k, each factor modulus >= 2."""
+class Frozen:
+    """An immutable value, shown and pickled by its slots and compared and
+    hashed by those its ``__init__`` takes, which determine the rest. It
+    replaces ``@dataclass(frozen=True)``, whose import (``inspect`` too) and
+    class builds took a third of the CLI's start."""
 
-    moduli: tuple[int, ...]
-    order: int = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.moduli:
+    def __init_subclass__(cls) -> None:
+        init = cls.__init__.__code__
+        names = init.co_varnames[1 : init.co_argcount]
+        mine, theirs = ("".join(f"{x}.{f}, " for f in names) for x in ("self", "other"))
+        methods: dict = {}  # compiled to read slots inline: generic code is slower
+        exec(
+            f"def __eq__(self, other):\n    return ({mine}) == ({theirs})"
+            " if other.__class__ is self.__class__ else NotImplemented\n"
+            f"def __hash__(self):\n    return hash(({mine}))",
+            methods,
+        )
+        cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> list:
+        return [getattr(self, f) for f in self.__slots__]
+
+    def __setstate__(self, state: list) -> None:
+        for f, value in zip(self.__slots__, state):
+            object.__setattr__(self, f, value)
+
+
+class GroupSpec(Frozen):
+    """Z/n_1 x ... x Z/n_k, each factor modulus n_i >= 2; ``order`` is prod n_i."""
+
+    __slots__ = ("moduli", "order")
+
+    def __init__(self, moduli: tuple[int, ...]) -> None:
+        if not moduli:
             raise UsageError("a group spec needs at least one factor")
-        for n in self.moduli:
+        for n in moduli:
             if not isinstance(n, int) or n < 2:
                 raise UsageError(f"modulus must be >= 2, got {n!r}")
-        order = math.prod(self.moduli)
+        order = math.prod(moduli)
         checked(order, "group order")
-        object.__setattr__(self, "moduli", tuple(self.moduli))
+        object.__setattr__(self, "moduli", tuple(moduli))
         object.__setattr__(self, "order", order)
 
     @classmethod
@@ -100,12 +135,15 @@ class GroupSpec:
         return " x ".join(f"Z/{n}" for n in self.moduli)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Frozen):
     """A residue vector in its owning group spec."""
 
-    group: GroupSpec
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
+
+    def __init__(self, group: GroupSpec, coords: tuple[int, ...]) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()  # the construction hook, patched to count elements
 
     def __post_init__(self) -> None:
         moduli = self.group.moduli
@@ -180,15 +218,15 @@ def all_elements(spec: GroupSpec) -> Iterator[GroupElement]:
         yield GroupElement(spec, coords)
 
 
-@dataclass(frozen=True)
-class IntegerWindow:
+class IntegerWindow(Frozen):
     """The symmetric slice {-bound, ..., bound} of the integers."""
 
-    bound: int
+    __slots__ = ("bound",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bound, int) or self.bound < 1:
-            raise UsageError(f"window bound must be a positive integer, got {self.bound!r}")
+    def __init__(self, bound: int) -> None:
+        if not isinstance(bound, int) or bound < 1:
+            raise UsageError(f"window bound must be a positive integer, got {bound!r}")
+        object.__setattr__(self, "bound", bound)
 
     def __contains__(self, n: int) -> bool:
         return -self.bound <= n <= self.bound

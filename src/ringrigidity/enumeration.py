@@ -22,9 +22,10 @@ the parts of the search, and one loop maps ``_part`` over them for
 every worker count: a pool takes ``POOL_CHUNK`` parts per call when it
 would have more than one process (it never has more than parts or the
 CPUs this process may use), else the built-in ``map`` runs one part at a
-time in-process. Each part sorts its tables row-major (for rank <= 2 the
-search order already is), so every run emits in lexicographic order of
-the flattened table; a part returns int tuples.
+time in-process; ``Pool`` imports ``multiprocessing`` only then, so a
+serial run never loads it. Each part sorts its tables row-major (for
+rank <= 2 the search order already is), so every run emits in
+lexicographic order of the flattened table; a part returns int tuples.
 
 The transpose C'[i][j] = C[j][i] of a table is the table of the opposite
 ring, with the same addition. So ``rigidity_report`` searches only the
@@ -61,16 +62,15 @@ the ones that are distributive and associative over addition mod N.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .abelian import GroupSpec
+from .abelian import Frozen, GroupSpec
 from .errors import CapacityError, InvariantViolation, UsageError
 from .structures import RingStructure, StructureConstants, associative_triple
 from .structures import commutative_table, unit_coords
@@ -82,17 +82,21 @@ PREFIX_CELLS = 2  # the cells whose values name one part of the search
 POOL_CHUNK = 256  # parts per pool.map call, so the parent's task list is bounded
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Frozen):
     """Execution settings of the census; both are positive."""
 
-    workers: int = 1
-    budget: int = DEFAULT_BUDGET
+    __slots__ = ("workers", "budget")
 
-    def __post_init__(self) -> None:
-        for name in ("workers", "budget"):
-            if getattr(self, name) < 1:
+    def __init__(self, workers: int = 1, budget: int = DEFAULT_BUDGET) -> None:
+        for name, value in (("workers", workers), ("budget", budget)):
+            if value < 1:
                 raise UsageError(f"search config {name} must be positive")
+            object.__setattr__(self, name, value)
+
+
+def Pool(processes: int):
+    from multiprocessing import Pool  # so only a pool start loads multiprocessing
+    return Pool(processes)
 
 
 def charge(work: int, budget: int, what: str) -> None:
@@ -234,8 +238,8 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     With ``canonical`` the search keeps only the tables that are at most
     their transpose in search order: while every mirror pair so far is
     symmetric (``tied``), cell (a, b) with a > b drops the values below
-    C[b][a] before they become nodes. The prefix cells 00 and 01 close no
-    mirror pair, so every prefix starts tied.
+    C[b][a], by first coordinate before the product, and never makes them
+    nodes. Prefix cells 00 and 01 close no mirror pair: every prefix starts tied.
     """
     moduli, prefix, cap, canonical = task
     plan = _plan(moduli)
@@ -268,8 +272,11 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
         step = plan[depth]
         (a, b), _, reach_of, _, _ = step
         row, reach_row = table[a], reach[a]
-        values = itertools.product(*_solve(moduli, table, reach, depth, step))
+        values = _solve(moduli, table, reach, depth, step)
         mirror = table[b][a] if tied and a > b else None
+        if mirror is not None:  # a smaller first coordinate drops before the product
+            values[0] = values[0][bisect.bisect_left(values[0], mirror[0]) :]
+        values = itertools.product(*values)
         if mirror is not None:  # lexicographic, so the values below come first
             values = itertools.dropwhile(mirror.__gt__, values)
         for x in values:
@@ -355,8 +362,7 @@ def enumerate_multiplications(
     return (RingStructure(StructureConstants(spec, t)) for t in _tables(spec, config))
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     """How far the group is from determining its own multiplication."""
 
     group: GroupSpec
@@ -444,8 +450,7 @@ def rigidity_report(
     )
 
 
-@dataclass(frozen=True)
-class CyclicClassification:
+class CyclicClassification(NamedTuple):
     """One multiplication on Z/N: its scale mul(1, 1) and its unit, if any."""
 
     scale: int

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
+from .abelian import Frozen
 from .errors import InvariantViolation, UsageError
 
 STANDARD = "standard"
@@ -29,22 +29,21 @@ AXIOM_TRIPLES = 1000
 UNIT_CHECKS = 4
 
 
-@dataclass(frozen=True)
-class MatrixElement:
+class MatrixElement(Frozen):
     """A square matrix with entries reduced modulo a base modulus."""
 
-    modulus: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("modulus", "rows")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise UsageError(f"matrix modulus must be >= 2, got {self.modulus}")
-        n = len(self.rows)
-        if n < 1 or any(len(row) != n for row in self.rows):
+    def __init__(self, modulus: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        if modulus < 2:
+            raise UsageError(f"matrix modulus must be >= 2, got {modulus}")
+        n = len(rows)
+        if n < 1 or any(len(row) != n for row in rows):
             raise UsageError("matrix must be square with dimension >= 1")
-        moduli = itertools.repeat(self.modulus)
-        rows = tuple([tuple(map(operator.mod, row, moduli)) for row in self.rows])
-        object.__setattr__(self, "rows", rows)
+        moduli = itertools.repeat(modulus)
+        reduced = tuple([tuple(map(operator.mod, row, moduli)) for row in rows])
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "rows", reduced)
 
     @property
     def n(self) -> int:

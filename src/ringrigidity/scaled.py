@@ -22,9 +22,8 @@ only scales, units and violation pairs are ``GroupElement``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .abelian import (
     INT_CAPACITY,
@@ -130,8 +129,7 @@ def scaled_identity_failure(a: int, n: int, m: int, k: int) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class IdentitySuiteReport:
+class IdentitySuiteReport(NamedTuple):
     scale: int
     samples: int
     failure: Optional[str]
@@ -153,8 +151,7 @@ def scaled_identity_suite(a: int, bound: int, samples: int) -> IdentitySuiteRepo
     return IdentitySuiteReport(a, samples, None)
 
 
-@dataclass(frozen=True)
-class ScaledFormReport:
+class ScaledFormReport(NamedTuple):
     """Outcome of matching a black-box multiplication against the scaled family."""
 
     scale: Optional[int]
@@ -265,8 +262,7 @@ def has_pm1_unit_property(ring: RingStructure) -> bool:
     return find_pm1_violation(ring) is None
 
 
-@dataclass(frozen=True)
-class ScaledUnitEntry:
+class ScaledUnitEntry(NamedTuple):
     scale: GroupElement
     unit: Optional[GroupElement]
 

@@ -37,10 +37,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .abelian import (
+    Frozen,
     GroupElement,
     GroupSpec,
     IntegerWindow,
@@ -57,16 +57,19 @@ BlackBoxMul = Callable[[int, int], int]
 DISTRIBUTIVITY_SAMPLES = 512
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(Frozen):
     """Generator products determining a bilinear multiplication.
 
     ``table[i][j]`` holds the reduced coordinates of C[i][j]; the
     constructor takes coordinate vectors, or bare residues for rank 1.
     """
 
-    group: GroupSpec
-    table: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("group", "table")
+
+    def __init__(self, group: GroupSpec, table) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()  # the validation hook
 
     def __post_init__(self) -> None:
         k, moduli = self.group.rank, self.group.moduli
@@ -274,13 +277,14 @@ def find_unit(constants: StructureConstants) -> Optional[GroupElement]:
     raise InvariantViolation(f"the unit screens' survivor {u} is not a two-sided unit")
 
 
-@dataclass(frozen=True)
-class RingStructure:
-    """An associative multiplication whose flags are derived, never passed in."""
+class RingStructure(Frozen):
+    """An associative multiplication whose ``commutative`` and ``unit`` are derived."""
 
-    mult: StructureConstants
-    commutative: bool = field(init=False)
-    unit: Optional[GroupElement] = field(init=False)
+    __slots__ = ("mult", "commutative", "unit")
+
+    def __init__(self, mult: StructureConstants) -> None:
+        object.__setattr__(self, "mult", mult)
+        self.__post_init__()  # the hook that derives the flags
 
     def __post_init__(self) -> None:
         if not check_associativity(self.mult):
@@ -297,8 +301,7 @@ class RingStructure:
         return cls(constants)
 
 
-@dataclass(frozen=True)
-class DistributivityCounterexample:
+class DistributivityCounterexample(NamedTuple):
     side: str  # "left" for n*(m+k), "right" for (m+k)*n
     n: int
     m: int
@@ -307,8 +310,7 @@ class DistributivityCounterexample:
     rhs: int
 
 
-@dataclass(frozen=True)
-class DistributivityReport:
+class DistributivityReport(NamedTuple):
     counterexample: Optional[DistributivityCounterexample]
     checked: int
 

@@ -699,6 +699,18 @@ class TestTextMode:
         assert exc.value.code == 2
 
 
+# run in a fresh interpreter with the CLI arguments: prints which of the
+# two heavy modules are loaded, then the CLI's output
+LEAN_PROBE = """
+import io, json, sys
+import ringrigidity.cli
+out = io.StringIO()
+ringrigidity.cli.run(sys.argv[1:], stdout=out)
+print(json.dumps(sorted({"dataclasses", "multiprocessing"} & set(sys.modules))))
+sys.stdout.write(out.getvalue())
+"""
+
+
 class TestEntryPoint:
     def test_python_dash_m(self):
         # the child must import the package this suite imported, also when
@@ -715,6 +727,30 @@ class TestEntryPoint:
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["payload"]["unital_scales"] == [1]
+
+    @pytest.mark.parametrize("group, workers", [("2,2", 1), ("3,3", 2)])
+    def test_lean_imports(self, group, workers):
+        # a fresh interpreter, since pytest itself imports dataclasses; -S
+        # keeps site's own imports out of the modules the child reports
+        src = str(Path(ringrigidity.__file__).parent.parent)
+        argv = ["enumerate", "--group", group, "--no-timing"]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", LEAN_PROBE, *argv, "--workers", str(workers)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded, output = proc.stdout.split("\n", 1)
+        # a pool starts only with two workers and two CPUs to run them
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        pooled = workers > 1 and cpus > 1
+        assert json.loads(loaded) == (["multiprocessing"] if pooled else [])
+        assert output == run_cli(*argv, "--workers", "1")[1]
 
     def test_console_script_prints_the_golden(self, capsys):
         # pyproject's [project.scripts] target, read with a regex because
