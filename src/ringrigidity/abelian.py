@@ -40,25 +40,24 @@ def checked(value: int, context: str = "") -> int:
 
 
 class Frozen:
-    """An immutable value, shown and pickled by its slots and compared and
-    hashed by those its ``__init__`` takes, which determine the rest. It
-    replaces ``@dataclass(frozen=True)``, whose import (``inspect`` too) and
-    class builds took a third of the CLI's start."""
+    """An immutable value, shown and pickled by its slots and compared, in
+    its class only, and hashed by those its ``__init__`` takes, which
+    determine the rest. It replaces ``@dataclass(frozen=True)``, whose
+    import (``inspect`` too) and class builds took a third of the CLI's start."""
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         init = cls.__init__.__code__
-        names = init.co_varnames[1 : init.co_argcount]
-        mine, theirs = ("".join(f"{x}.{f}, " for f in names) for x in ("self", "other"))
-        methods: dict = {}  # compiled to read slots inline: generic code is slower
-        exec(
-            f"def __eq__(self, other):\n    return ({mine}) == ({theirs})"
-            " if other.__class__ is self.__class__ else NotImplemented\n"
-            f"def __hash__(self):\n    return hash(({mine}))",
-            methods,
-        )
-        cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+        cls._key = operator.attrgetter(*init.co_varnames[1 : init.co_argcount])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)

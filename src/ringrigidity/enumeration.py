@@ -231,9 +231,10 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     only the values they admit, in lexicographic order. Each tried value then
     meets the due entries of ``tested``, so each triple is checked once per
     path. A failing tested triple moves to the front of its list, so the
-    triple that cuts most is tried first. The prefix cells pass every entry
-    of ``solved`` and ``tested`` due at their depths; a prefix that fails
-    one returns no tables and no nodes.
+    triple that cuts most is tried first. The prefix cells meet the tested
+    entries of their depths alike, and none is solved: a triple reading cell
+    00 or 01 only linearly falls due later. A failing prefix returns no
+    tables and no nodes.
 
     With ``canonical`` the search keeps only the tables that are at most
     their transpose in search order: while every mirror pair so far is
@@ -289,11 +290,7 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
             if passes(depth):
                 extend(depth + 1, tied and (mirror is None or x == mirror))
 
-    if all(
-        due[reach[i][j]][reach[j][l]] != d or associative_triple(moduli, table, i, j, l)
-        for d, (*_, solved, tested) in enumerate(plan[: len(prefix)])
-        for i, j, l, due in solved + tested
-    ):
+    if all(passes(d) for d in range(len(prefix))):
         extend(len(prefix), canonical)
     found.sort()
     return found, nodes

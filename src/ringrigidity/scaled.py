@@ -221,7 +221,7 @@ def scale_ring(ring: RingStructure, a: GroupElement) -> StructureConstants:
         raise UsageError("scale_ring: scale element belongs to a different group")
     mult = ring.mult
     for e in ring.group.generators():
-        if mult.eval(a, e) != mult.eval(e, a):
+        if mult.product(a.coords, e.coords) != mult.product(e.coords, a.coords):
             raise UsageError(
                 f"scale_ring: scale {a} is not central, it fails to commute "
                 f"with {e}"

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import io
 import itertools
@@ -751,6 +752,22 @@ class TestEntryPoint:
         pooled = workers > 1 and cpus > 1
         assert json.loads(loaded) == (["multiprocessing"] if pooled else [])
         assert output == run_cli(*argv, "--workers", "1")[1]
+
+    def test_no_generated_code(self):
+        # no module runs source it builds: the exec, eval and compile
+        # builtins are never called, while methods of those names, such as
+        # StructureConstants.eval, are ordinary calls
+        paths = sorted(Path(ringrigidity.__file__).parent.glob("*.py"))
+        assert len(paths) > 1
+        calls = [
+            (path.name, node.lineno, node.func.id)
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("exec", "eval", "compile")
+        ]
+        assert calls == []
 
     def test_console_script_prints_the_golden(self, capsys):
         # pyproject's [project.scripts] target, read with a regex because

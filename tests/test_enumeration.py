@@ -449,12 +449,14 @@ class TestSchedule:
         # each cell once; its candidates are the x with gcd(n_i, n_j)*x = 0,
         # found by a scan of every element; reach_of is the last non-zero
         # coordinate plus one; an entry is tested where the cell is its
-        # (i, j) or (j, l), else solved, and never both or twice
+        # (i, j) or (j, l), else solved, and never both or twice; _part
+        # checks the prefix cells with their tested entries alone, so no
+        # step below PREFIX_CELLS solves one
         r = range(len(moduli))
         plan = enumeration._plan(moduli)
         assert sorted(cell for cell, *_ in plan) == list(itertools.product(r, r))
         elements = list(all_coords(GroupSpec(moduli)))
-        for (i, j), coords, reach_of, solved, tested in plan:
+        for d, ((i, j), coords, reach_of, solved, tested) in enumerate(plan):
             g = math.gcd(moduli[i], moduli[j])
             expected = [
                 x for x in elements if all(g * c % n == 0 for c, n in zip(x, moduli))
@@ -468,6 +470,7 @@ class TestSchedule:
             assert len(set(entries)) == len(entries), (i, j)
             assert all((i, j) in (e[:2], e[1:3]) for e in tested), (i, j)
             assert not any((i, j) in (e[:2], e[1:3]) for e in solved), (i, j)
+            assert d >= enumeration.PREFIX_CELLS or solved == (), (i, j)
 
 
 class TestLinearSolve:
