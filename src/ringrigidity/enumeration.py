@@ -17,15 +17,19 @@ may fall due there. A due triple that reads the new cell only as (s, l)
 or (i, s) is linear in it, one congruence per coordinate, so it is
 solved: the search tries only the values every such triple admits. A
 node is one value tried in one cell, and it meets the due triples whose
-(i, j) or (j, l) is that cell. The values of the first two cells name
-the parts of the search, and one loop maps ``_part`` over them for
-every worker count: a pool takes ``POOL_CHUNK`` parts per call when it
-would have more than one process (it never has more than parts or the
-CPUs this process may use), else the built-in ``map`` runs one part at a
-time in-process; ``Pool`` imports ``multiprocessing`` only then, so a
-serial run never loads it. Each part sorts its tables row-major (for
-rank <= 2 the search order already is), so every run emits in
-lexicographic order of the flattened table; a part returns int tuples.
+(i, j) or (j, l) is that cell. The value of cell 00 names a part of the
+search up to rank 2, and the values of cells 00 and 01 from rank 3 on,
+where a part still searches at least seven cells. One loop maps
+``_part`` over the parts for every worker count: a pool takes
+``POOL_CHUNK`` parts per ``imap`` call when it would have more than one
+process (it never has more than parts or the CPUs this process may use),
+and the parent takes each part's result in task order as it arrives,
+its tables still pickled while it waits (``_pooled``); else the built-in
+``map`` runs one part at a time in-process. ``Pool`` imports
+``multiprocessing`` only then, so a serial run never loads it. Each part
+sorts its tables row-major (for rank <= 2 the search order already
+is), so every run emits in lexicographic order of the flattened table; a
+part returns int tuples.
 
 The transpose C'[i][j] = C[j][i] of a table is the table of the opposite
 ring, with the same addition. So ``rigidity_report`` searches only the
@@ -78,8 +82,8 @@ from .structures import commutative_table, unit_coords
 DEFAULT_BUDGET = 10**8
 GROUP_ORDER_CAP = 10_000
 FULL_TABLE_CAP = 3
-PREFIX_CELLS = 2  # the cells whose values name one part of the search
-POOL_CHUNK = 256  # parts per pool.map call, so the parent's task list is bounded
+PREFIX_CELLS = 2  # the cells whose values name one part from rank 3 on; else cell 00
+POOL_CHUNK = 256  # parts per pool.imap call, so the parent's task list is bounded
 
 
 class SearchConfig(Frozen):
@@ -223,7 +227,8 @@ def _solve(moduli: tuple[int, ...], table, reach, depth: int, step) -> list[list
 def _part(task: tuple) -> tuple[list[tuple], int]:
     """Tables extending one prefix, as sorted int tuples, and the nodes visited.
 
-    task = (moduli, values of the first cells, cap, canonical). A node is
+    task = (moduli, values of the prefix cells, cap, canonical); the prefix
+    is cell 00 up to rank 2 and cells 00 and 01 from rank 3 on. A node is
     one value tried in one cell; past ``cap`` nodes the search stops and
     reports cap + 1. On entering a depth the search solves the ``solved``
     entries of that depth's step (see ``_plan``) whose due depth, looked up
@@ -296,6 +301,26 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     return found, nodes
 
 
+def _packed_part(task: tuple) -> tuple[bytes, int]:
+    """``_part`` in a pool worker, with its tables pickled: a result that
+    waits for the parent stays bytes until the parent takes it."""
+    import pickle  # loaded with multiprocessing, as in ``Pool``
+
+    tables, nodes = _part(task)
+    return pickle.dumps(tables), nodes
+
+
+def _pooled(pool, tasks: list) -> Iterator[tuple[list[tuple], int]]:
+    """``_part`` over the tasks in the pool, each result in task order as it
+    arrives; a pool with no ``imap``, such as perfbench's traced one, maps
+    the whole list at once."""
+    import pickle
+
+    run = pool.imap if hasattr(pool, "imap") else pool.map
+    for packed, nodes in run(_packed_part, tasks):
+        yield pickle.loads(packed), nodes
+
+
 def _tables(
     spec: GroupSpec, config: SearchConfig, canonical: bool = False
 ) -> Iterator[tuple]:
@@ -304,8 +329,13 @@ def _tables(
     Emitted in lexicographic order of the flattened constant table. Every
     node of the search is charged against the budget, and the search
     raises once the count exceeds it. The prefix nodes are charged from
-    the set sizes alone, before any candidate set is built. With
-    ``canonical`` it keeps one table of each mirror pair (see ``_part``).
+    the set sizes alone, before any candidate set is built. The value of
+    cell 00 names a part up to rank 2, where a part named by two cells
+    would search only cells 10 and 11 and cost about as much to set up as
+    to search; cells 00 and 01 name it from rank 3 on. A pool streams the
+    parts' results (``_pooled``), so the parent unpickles one part's
+    tables at a time. With ``canonical`` it keeps one table of each mirror
+    pair (see ``_part``).
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
@@ -313,10 +343,8 @@ def _tables(
         )
     budget = config.budget
     moduli = spec.moduli
-    sizes = [
-        _set_size(moduli, moduli[a], moduli[b])
-        for a, b in _order(spec.rank)[:PREFIX_CELLS]
-    ]
+    cells = _order(spec.rank)[: PREFIX_CELLS if spec.rank > 2 else 1]
+    sizes = [_set_size(moduli, moduli[a], moduli[b]) for a, b in cells]
     spent = 0
 
     def spend(nodes: int) -> None:
@@ -330,7 +358,7 @@ def _tables(
 
     # the parent visits every prefix node; a part whose prefix fails adds none
     spend(sum(math.prod(sizes[: d + 1]) for d in range(len(sizes))))
-    steps = _plan(moduli)[:PREFIX_CELLS]
+    steps = _plan(moduli)[: len(cells)]
     prefixes = itertools.product(*(itertools.product(*c) for _, c, *_ in steps))
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
@@ -338,11 +366,12 @@ def _tables(
         cpus = os.cpu_count() or 1
     processes = min(config.workers, math.prod(sizes), cpus)
     with Pool(processes) if processes > 1 else contextlib.nullcontext() as pool:
-        run, size = (map, 1) if pool is None else (pool.map, POOL_CHUNK)
+        size = 1 if pool is None else POOL_CHUNK
         for chunk in iter(lambda: list(itertools.islice(prefixes, size)), []):
             share = (budget - spent) // len(chunk)
             tasks = [(moduli, prefix, share, canonical) for prefix in chunk]
-            for prefix, (tables, nodes) in zip(chunk, run(_part, tasks)):
+            results = map(_part, tasks) if pool is None else _pooled(pool, tasks)
+            for prefix, (tables, nodes) in zip(chunk, results):
                 if nodes > share and share < budget - spent:  # cut short below the rest
                     tables, nodes = _part((moduli, prefix, budget - spent, canonical))
                 spend(nodes)

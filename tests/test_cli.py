@@ -42,6 +42,19 @@ def run_json(*args: str) -> tuple[int, dict]:
     return code, json.loads(text)
 
 
+def assert_node_boundary(monkeypatch, group, nodes, counts, workers):
+    """The exact node count of the census passes, one less exits 3."""
+    monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes))
+    code, doc = run_json("enumerate", "--group", group, "--workers", workers)
+    payload = doc["payload"]
+    assert code == 0
+    assert [payload["total"], payload["commutative"], payload["unital"]] == counts
+    monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes - 1))
+    code, doc = run_json("enumerate", "--group", group, "--workers", workers)
+    assert code == 3
+    assert f"more than {nodes - 1} search nodes" in doc["payload"]["message"]
+
+
 class TestGoldenFiles:
     @pytest.mark.parametrize(
         "name,args",
@@ -170,16 +183,12 @@ class TestExitCodes:
         ],
     )
     def test_rank_three_node_boundary(self, monkeypatch, group, nodes, counts, workers):
-        # the exact node count of the census passes, one less exits 3
-        monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes))
-        code, doc = run_json("enumerate", "--group", group, "--workers", workers)
-        payload = doc["payload"]
-        assert code == 0
-        assert [payload["total"], payload["commutative"], payload["unital"]] == counts
-        monkeypatch.setenv("RIGIDITY_BUDGET", str(nodes - 1))
-        code, doc = run_json("enumerate", "--group", group, "--workers", workers)
-        assert code == 3
-        assert f"more than {nodes - 1} search nodes" in doc["payload"]["message"]
+        assert_node_boundary(monkeypatch, group, nodes, counts, workers)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_rank_two_node_boundary(self, monkeypatch, workers):
+        # the 6 values of cell 00 name the parts, each searching cells 01 on
+        assert_node_boundary(monkeypatch, "6,6", 11_649, [3388, 2310, 864], workers)
 
     def test_serial_run_never_reruns_a_part(self, monkeypatch):
         # a serial part's cap is the whole rest of the budget, so each of the

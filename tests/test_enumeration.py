@@ -41,8 +41,10 @@ def coords_tables(spec, config=SearchConfig()):
     return [r.mult.table for r in enumerate_multiplications(spec, config)]
 
 
-class SerialPool:
-    """A stand-in pool: no processes; records its sizes and maps serially."""
+class MapPool:
+    """A stand-in pool with only ``map``, as perfbench's traced pool has: no
+    processes; records its sizes and runs every task of a call at once, as
+    a real pool's workers may."""
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -58,12 +60,24 @@ class SerialPool:
         return [fn(task) for task in tasks]
 
 
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Install ``SerialPool`` with fresh records; returns the class."""
-    pool = type("RecordingPool", (SerialPool,), {"sizes": [], "mapped": []})
+class SerialPool(MapPool):
+    """``MapPool`` with a lazy ``imap``: a task runs when its result is taken."""
+
+    def imap(self, fn, tasks):
+        self.mapped.append(len(tasks))
+        return map(fn, tasks)
+
+
+def install_pool(monkeypatch, base):
+    """Install a subclass of ``base`` with fresh records; returns it."""
+    pool = type("RecordingPool", (base,), {"sizes": [], "mapped": []})
     monkeypatch.setattr(enumeration, "Pool", pool)
     return pool
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    return install_pool(monkeypatch, SerialPool)
 
 
 class TestCyclicCountLaw:
@@ -623,12 +637,34 @@ class TestDeterminismAndParallelism:
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
         assert serial_pool.sizes == [3]
 
-    def test_pool_maps_two_cell_parts(self, serial_pool):
-        # 4 values of cell 00 times 4 of cell 01: 16 parts, not 4
-        spec = GroupSpec((2, 2))
-        serial = coords_tables(spec)
-        assert coords_tables(spec, SearchConfig(workers=2)) == serial
+    def test_pool_maps_rank_aware_parts(self, monkeypatch, serial_pool):
+        # up to rank 2 the 4 values of cell 00 name the parts of 2,2; from
+        # rank 3 on cells 00 and 01 do, 8 x 8 parts on 2,2,2
+        for moduli, parts in [((2, 2), 4), ((2, 2, 2), 64)]:
+            spec = GroupSpec(moduli)
+            serial = coords_tables(spec)
+            assert coords_tables(spec, SearchConfig(workers=2)) == serial
+            assert serial_pool.mapped == [parts]
+            serial_pool.mapped.clear()
+        # the parent takes each part's tables as they arrive, so the first
+        # table of 4,4 has run only the first of its 16 parts
+        part = enumeration._part
+        run = []
+        monkeypatch.setattr(
+            enumeration, "_part", lambda task: run.append(task[1]) or part(task)
+        )
+        stream = enumeration._tables(GroupSpec((4, 4)), SearchConfig(workers=2))
+        next(stream)
+        stream.close()
         assert serial_pool.mapped == [16]
+        assert run == [((0, 0),)]
+
+    def test_pool_without_imap_maps_chunks(self, monkeypatch):
+        # a pool that offers only map runs each chunk at once, same stream
+        pool = install_pool(monkeypatch, MapPool)
+        spec = GroupSpec((2, 2))
+        assert coords_tables(spec, SearchConfig(workers=2)) == coords_tables(spec)
+        assert pool.mapped == [4]
 
     def test_rank_three_order_matches_serial(self):
         # the growing-square search sorts each part, so the stream stays sorted
@@ -658,7 +694,7 @@ class TestCapsAndBudget:
             config = SearchConfig(workers=workers, budget=KLEIN_NODES)
             assert len(list(enumerate_multiplications(spec, config))) == 28
 
-    def test_pool_work_bounded_past_the_budget(self, monkeypatch, serial_pool):
+    def test_pool_work_bounded_past_the_budget(self, monkeypatch):
         # the parts of a pool call share the rest of the budget, so a search
         # over it stops after about twice the budget's work
         visited = [0]
@@ -670,10 +706,11 @@ class TestCapsAndBudget:
             return rings, nodes
 
         monkeypatch.setattr(enumeration, "_part", counted)
+        pool = install_pool(monkeypatch, MapPool)  # runs every part of a call
         config = SearchConfig(workers=2, budget=1000)
         with pytest.raises(CapacityError, match="more than 1000 search nodes"):
             list(enumerate_multiplications(GroupSpec((2, 4, 4)), config))
-        assert serial_pool.mapped == [64]
+        assert pool.mapped == [64]
         prefix_nodes = 8 + 8 * 8  # cells 00 and 01 hold 8 values each
         assert 1000 < prefix_nodes + visited[0] <= 2 * 1000 + enumeration.POOL_CHUNK + 1
 
