@@ -6,16 +6,20 @@ ring multiplications: the usual row-by-column product, noncommutative for
 n >= 2 with the diagonal identity matrix as unit, and the entrywise
 (Hadamard) product, commutative with the all-ones matrix as unit. The base
 ring is Z/m rather than the reals so every claim here can be checked
-exactly, and exhaustively on tiny carriers. Validation happens only in the
-public constructor ``MatrixElement(...)``; the kernels reduce each entry
-they compute and build their results unchecked with ``_reduced``.
+exactly, and exhaustively on tiny carriers. Only ``MatrixElement(...)``
+validates; the kernels, ``map`` chains over its flat row-major entries or
+packed ints for the standard product, build results unchecked (``_reduced``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import operator
+import math
 import random
+import struct
+from itertools import repeat, starmap
+from operator import add, and_, attrgetter, mod, mul, rshift
 from typing import Iterator
 
 from .abelian import Frozen
@@ -30,39 +34,47 @@ UNIT_CHECKS = 4
 
 
 class MatrixElement(Frozen):
-    """A square matrix with entries reduced modulo a base modulus."""
+    """A square matrix: one row-major tuple of entries reduced modulo a base modulus."""
 
-    __slots__ = ("modulus", "rows")
+    __slots__ = ("modulus", "entries")
 
     def __init__(self, modulus: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        if modulus < 2:
-            raise UsageError(f"matrix modulus must be >= 2, got {modulus}")
+        if not isinstance(modulus, int) or modulus < 2:
+            raise UsageError(f"matrix modulus must be an int >= 2, got {modulus!r}")
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise UsageError("matrix must be square with dimension >= 1")
-        moduli = itertools.repeat(modulus)
-        reduced = tuple([tuple(map(operator.mod, row, moduli)) for row in rows])
+        flat = list(itertools.chain.from_iterable(rows))
+        if not all(map(isinstance, flat, repeat(int))):
+            raise UsageError(f"matrix entries must be ints, got {rows!r}")
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "rows", reduced)
+        object.__setattr__(self, "entries", tuple(map(mod, flat, repeat(modulus))))
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return math.isqrt(len(self.entries))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*[iter(self.entries)] * self.n))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
 
-def _reduced(modulus: int, rows: tuple[tuple[int, ...], ...]) -> MatrixElement:
-    """A matrix from square rows of entries in range(modulus), unchecked."""
+MatrixElement._key = attrgetter("modulus", "entries")  # not rows, rebuilt per read
+
+
+def _reduced(modulus: int, entries: tuple[int, ...]) -> MatrixElement:
+    """A matrix from n^2 row-major entries in range(modulus), unchecked."""
     matrix = object.__new__(MatrixElement)
     object.__setattr__(matrix, "modulus", modulus)
-    object.__setattr__(matrix, "rows", rows)
+    object.__setattr__(matrix, "entries", entries)
     return matrix
 
 
 def _common_modulus(a: MatrixElement, b: MatrixElement, op: str) -> int:
-    if a.n != b.n or a.modulus != b.modulus:
+    if len(a.entries) != len(b.entries) or a.modulus != b.modulus:
         raise UsageError(
             f"{op}: shapes {a.n}x{a.n} mod {a.modulus} and "
             f"{b.n}x{b.n} mod {b.modulus} do not mix"
@@ -72,26 +84,48 @@ def _common_modulus(a: MatrixElement, b: MatrixElement, op: str) -> int:
 
 def mat_add(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     m = _common_modulus(a, b, "mat_add")
-    return _reduced(m, tuple([
-        tuple([(x + y) % m for x, y in zip(ra, rb)]) for ra, rb in zip(a.rows, b.rows)
-    ]))
+    return _reduced(m, tuple(map(mod, map(add, a.entries, b.entries), repeat(m))))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(count: int, m: int) -> tuple:
+    """Pack, unpack, column-0 mask, column shifts and row cuts of count = n^2
+    little-endian slots, the least of 1, 2, 4, 8 bytes (or more) holding n (m-1)^2."""
+    n = math.isqrt(count)
+    need = ((n * (m - 1) ** 2).bit_length() + 7) // 8
+    width = 1 << (need - 1).bit_length() if need <= 8 else need
+    if width <= 8:
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+        pack, unpack = attrgetter("pack", "unpack")(struct.Struct(f"<{count}{code}"))
+    else:  # no struct format is that wide
+        def pack(*entries):
+            return b"".join(map(int.to_bytes, entries, repeat(width), repeat("little")))
+
+        def unpack(data):
+            return map(int.from_bytes, zip(*[iter(data)] * width), repeat("little"))
+    column = int.from_bytes((b"\xff" * width).ljust(width * n, b"\0") * n, "little")
+    row_cuts = [slice(k, k + width * n) for k in range(0, width * count, width * n)]
+    return pack, unpack, column, range(0, 8 * width * n, 8 * width), row_cuts
 
 
 def mat_mul_standard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
-    """Row-by-column product modulo the base modulus."""
+    """Row-by-column product modulo the base modulus. With z = 2^(8 w), w the
+    slot width, column t of a packs to sum_i a[i][t] z^(i n) and row t of b to
+    sum_j b[t][j] z^j; summed over t, their products hold entry ij at z^(i n + j)."""
     m = _common_modulus(a, b, "mat_mul_standard")
-    cols = list(zip(*b.rows))
-    return _reduced(m, tuple([
-        tuple([sum(map(operator.mul, ra, col)) % m for col in cols]) for ra in a.rows
-    ]))
+    pack, unpack, column, shifts, row_cuts = _layout(len(a.entries), m)
+    whole_a = int.from_bytes(pack(*a.entries), "little")
+    columns = map(and_, map(rshift, repeat(whole_a), shifts), repeat(column))
+    packed_b = pack(*b.entries)
+    rows_b = map(int.from_bytes, map(packed_b.__getitem__, row_cuts), repeat("little"))
+    total = sum(map(mul, columns, rows_b)).to_bytes(len(packed_b), "little")
+    return _reduced(m, tuple(map(mod, unpack(total), repeat(m))))
 
 
 def mat_mul_hadamard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     """Entrywise product modulo the base modulus."""
     m = _common_modulus(a, b, "mat_mul_hadamard")
-    return _reduced(m, tuple([
-        tuple([x * y % m for x, y in zip(ra, rb)]) for ra, rb in zip(a.rows, b.rows)
-    ]))
+    return _reduced(m, tuple(map(mod, map(mul, a.entries, b.entries), repeat(m))))
 
 
 def _product(mode: str):
@@ -117,10 +151,7 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
     if n < 1:
         raise UsageError(f"matrix dimension must be >= 1, got {n}")
     product = _product(mode)
-    if mode == STANDARD:
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    else:
-        rows = tuple((1,) * n for _ in range(n))
+    rows = [[int(mode == HADAMARD or i == j) for j in range(n)] for i in range(n)]
     unit = MatrixElement(modulus, rows)
 
     rng = random.Random(31 * n + modulus)
@@ -134,20 +165,18 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
 
 
 def random_matrix(rng: random.Random, n: int, modulus: int) -> MatrixElement:
-    """A uniform n x n matrix over Z/modulus: its n^2 entries in one draw."""
-    if n < 1 or modulus < 2:
+    """A uniform n x n matrix over Z/modulus: entry k is floor(random() *
+    modulus) of draw k, as ``rng.choices(range(modulus), k=n * n)`` draws."""
+    if n < 1 or not isinstance(modulus, int) or modulus < 2:
         raise UsageError(f"random matrix needs n >= 1 and modulus >= 2: {n}, {modulus}")
-    flat = rng.choices(range(modulus), k=n * n)
-    rows = tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
-    return _reduced(modulus, rows)
+    draws = map(mul, starmap(rng.random, repeat((), n * n)), repeat(float(modulus)))
+    return _reduced(modulus, tuple(map(math.floor, draws)))
 
 
 def all_matrices(n: int, modulus: int) -> Iterator[MatrixElement]:
     """Every n x n matrix over Z/modulus, lexicographic by flattened entries."""
     for flat in itertools.product(range(modulus), repeat=n * n):
-        yield MatrixElement(
-            modulus, tuple(flat[i * n : (i + 1) * n] for i in range(n))
-        )
+        yield MatrixElement(modulus, [flat[i : i + n] for i in range(0, n * n, n)])
 
 
 def noncommutativity_witness(
@@ -161,12 +190,8 @@ def noncommutativity_witness(
     """
     if n < 2:
         return None
-    a_rows = [[0] * n for _ in range(n)]
-    b_rows = [[0] * n for _ in range(n)]
-    a_rows[0][1] = 1
-    b_rows[1][0] = 1
-    a = MatrixElement(modulus, tuple(tuple(r) for r in a_rows))
-    b = MatrixElement(modulus, tuple(tuple(r) for r in b_rows))
+    a = MatrixElement(modulus, [(0, 1) + (0,) * (n - 2)] + [(0,) * n] * (n - 1))
+    b = MatrixElement(modulus, [(0,) * n, (1,) + (0,) * (n - 1)] + [(0,) * n] * (n - 2))
     if mat_mul_standard(a, b) == mat_mul_standard(b, a):
         raise InvariantViolation("stored noncommutativity witness commutes")
     return a, b

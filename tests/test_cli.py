@@ -71,6 +71,11 @@ class TestGoldenFiles:
             ("enumerate_2_6", ["enumerate", "--group", "2,6"]),
             ("enumerate_2_2_2", ["enumerate", "--group", "2,2,2"]),
             ("matrix_demo_8_11", ["matrix-demo", "--n", "8", "--mod", "11"]),
+            ("matrix_demo_8_65537", ["matrix-demo", "--n", "8", "--mod", "65537"]),
+            (
+                "matrix_demo_3_4294967311",
+                ["matrix-demo", "--n", "3", "--mod", "4294967311"],
+            ),
         ],
     )
     def test_byte_stable(self, name, args):

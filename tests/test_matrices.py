@@ -21,10 +21,35 @@ def m(modulus, *rows):
     return MatrixElement(modulus, tuple(tuple(r) for r in rows))
 
 
+# around every slot-width boundary of the packed standard product, whose
+# slots hold n (m-1)^2: 1 | 2 bytes at m = 16 | 17, 2 | 4 at 256 | 257,
+# 4 | 8 at 65536 | 65537 and 8 bytes | wider at 2^32 | 2^32 + 1 (n = 1;
+# a larger n moves each boundary down)
+SLOT_MODULI = [
+    2, 7, 16, 17, 256, 257, 65536, 65537, 2**32, 2**32 + 1, 2**32 + 15, 2**70 + 1
+]
+
+
 class TestMatrixElement:
     def test_entries_reduced(self):
         a = m(5, [6, -1], [10, 3])
         assert a.rows == ((1, 4), (0, 3))
+        assert a.entries == (1, 4, 0, 3) and a.n == 2
+
+    @pytest.mark.parametrize(
+        "modulus,rows",
+        [
+            (7.0, ((1.5, 2), (3, 4))),
+            (7.0, ((1, 2), (3, 4))),
+            (7, ((1.5, 2), (3, 4))),
+            (7, ((1, 2), (3, "4"))),
+            ("7", ((1,),)),
+            (None, ((1,),)),
+        ],
+    )
+    def test_rejects_non_int_modulus_or_entry(self, modulus, rows):
+        with pytest.raises(UsageError):
+            MatrixElement(modulus, rows)
 
     def test_rejects_non_square(self):
         with pytest.raises(UsageError):
@@ -38,8 +63,8 @@ class TestMatrixElement:
 class TestTrustedKernels:
     # the kernels skip the public constructor, so each result must already
     # be what MatrixElement(...) makes of its rows
-    @pytest.mark.parametrize("modulus", [2, 7, 12])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("modulus", [12, *SLOT_MODULI])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_results_are_reduced(self, n, modulus):
         rng = random.Random(100 * n + modulus)
         top = m(modulus, *[[modulus - 1] * n] * n)  # every sum and product wraps
@@ -50,15 +75,32 @@ class TestTrustedKernels:
             results += [a, mat_add(a, b), mat_mul_standard(a, b), mat_mul_hadamard(a, b)]
         for result in results:
             assert result.modulus == modulus and result.n == n
+            assert type(result.entries) is tuple and len(result.entries) == n * n
             for row in result.rows:
                 assert type(row) is tuple and all(x in range(modulus) for x in row)
             public = MatrixElement(result.modulus, result.rows)
             assert result == public and hash(result) == hash(public)
 
-    @pytest.mark.parametrize("n,modulus", [(0, 7), (-1, 7), (2, 1), (2, 0)])
+    @pytest.mark.parametrize(
+        "n,modulus", [(0, 7), (-1, 7), (2, 1), (2, 0), (2, 7.0)]
+    )
     def test_random_matrix_validates_its_arguments(self, n, modulus):
         with pytest.raises(UsageError):
             random_matrix(random.Random(0), n, modulus)
+
+    @pytest.mark.parametrize(
+        "n,modulus",
+        [(1, 2), (2, 7), (3, 5), (8, 11), (8, 65537), (3, 2**32 + 15), (2, 2**62 + 1)],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 31])
+    def test_draws_follow_choices(self, n, modulus, seed):
+        # three draws from one generator are the row-major splits of three
+        # rng.choices calls, so every seeded sample is pinned
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            flat = theirs.choices(range(modulus), k=n * n)
+            rows = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+            assert random_matrix(mine, n, modulus).rows == rows
 
 
 class TestAddition:
@@ -131,18 +173,20 @@ class TestHadamardProduct:
 class TestKernelsMatchNaiveLoops:
     @staticmethod
     def _raw_pairs(n, modulus):
-        # entries outside 0..modulus-1, so the reduction is checked as well
+        # entries outside 0..modulus-1, so the reduction is checked as well;
+        # the all-(-1) pair fills every product slot to its bound n (m-1)^2
         rng = random.Random(1000 * n + modulus)
 
         def row():
             return tuple(rng.randrange(-3 * modulus, 3 * modulus) for _ in range(n))
 
-        return [
+        top = ((-1,) * n,) * n
+        return [(top, top)] + [
             (tuple(row() for _ in range(n)), tuple(row() for _ in range(n)))
             for _ in range(3)
         ]
 
-    @pytest.mark.parametrize("modulus", [2, 7, 11])
+    @pytest.mark.parametrize("modulus", [11, *SLOT_MODULI])
     @pytest.mark.parametrize("n", range(1, 9))
     def test_products_and_sum(self, n, modulus):
         for x, y in self._raw_pairs(n, modulus):
