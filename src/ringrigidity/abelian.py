@@ -25,13 +25,16 @@ from .errors import CapacityError, IntegerOverflowError, UsageError
 
 # Signed 64-bit range, the representation the checked arithmetic emulates.
 INT_CAPACITY = 2**63 - 1
+# INT_CAPACITY is 2^k - 1, so |value| <= INT_CAPACITY iff value has at most
+# k bits: one bit-length test replaces two range comparisons
+_CAPACITY_BITS = INT_CAPACITY.bit_length()
 
 DEFAULT_ELEMENT_CAP = 10**6
 
 
 def checked(value: int, context: str = "") -> int:
-    """Return *value* unchanged, or raise if it left the representable range."""
-    if value > INT_CAPACITY or value < -INT_CAPACITY:
+    """Return the int *value* unchanged, or raise if it left the representable range."""
+    if value.bit_length() > _CAPACITY_BITS:
         where = f" in {context}" if context else ""
         raise IntegerOverflowError(
             f"integer {value} exceeds the checked capacity {INT_CAPACITY}{where}"
@@ -237,7 +240,12 @@ class IntegerWindow(Frozen):
         return 2 * self.bound + 1
 
     def random_triples(self, count: int, seed: int) -> Iterator[tuple[int, int, int]]:
-        """Seeded (n, m, k): n in the window, m and k in its half, so m + k too."""
-        rng, b, h = random.Random(seed), self.bound, self.bound // 2
+        """Seeded (n, m, k): n in the window, m and k in its half, so m + k too.
+
+        ``randrange(2b + 1) - b`` consumes the generator exactly as
+        ``randint(-b, b)`` does, without its argument handling.
+        """
+        draw, b, h = random.Random(seed).randrange, self.bound, self.bound // 2
+        width, half_width = 2 * b + 1, 2 * h + 1
         for _ in range(count):
-            yield rng.randint(-b, b), rng.randint(-h, h), rng.randint(-h, h)
+            yield draw(width) - b, draw(half_width) - h, draw(half_width) - h

@@ -26,6 +26,7 @@ from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .abelian import (
+    _CAPACITY_BITS,
     INT_CAPACITY,
     GroupElement,
     IntegerWindow,
@@ -49,13 +50,16 @@ IDENTITY_SAMPLES = 10_000
 
 
 def ScaledMult(scale: int) -> BlackBoxMul:
-    """The closure (n, m) -> scale*n*m, checked; a call costs less than a __call__."""
-    high, low = INT_CAPACITY, -INT_CAPACITY
+    """The closure (n, m) -> scale*n*m, checked; a call costs less than a __call__.
+
+    One exact test, ``value.bit_length() > 63``, rejects what ``checked``
+    rejects: |value| above ``INT_CAPACITY`` = 2^63 - 1.
+    """
 
     def mul(n: int, m: int) -> int:
         # hot path: the context string is only built on actual overflow
         value = scale * n * m
-        if value > high or value < low:
+        if value.bit_length() > _CAPACITY_BITS:
             raise IntegerOverflowError(
                 f"integer {value} exceeds the checked capacity "
                 f"{INT_CAPACITY} in {scale}*{n}*{m}"
@@ -175,12 +179,14 @@ def verify_scaled_form(
     A multiplication that is not distributive on the window is rejected
     rather than classified; otherwise every pair in the window is compared
     against the scaled form and the first violation in row-major order,
-    if any, is reported. Each row n is evaluated whole and compared with
-    its closed form a*n*m; only a row that differs is searched for its
-    first bad m, so after a violation the black box may have seen the
-    rest of that row, but never a pair outside the window. |a*n*m| peaks
-    at |a|*b^2 on the window's corners, so one overflow check of that
-    value covers every pair.
+    if any, is reported. Each row n is evaluated whole, as
+    ``[mul(n, m) for m in ms]`` over one list ``ms`` of the window's values
+    (an inline call that never re-enters the interpreter for a Python
+    black box), and compared with its closed form a*n*m; only a row that
+    differs is searched for its first bad m, so after a violation the
+    black box may have seen the rest of that row, but never a pair outside
+    the window. |a*n*m| peaks at |a|*b^2 on the window's corners, so one
+    overflow check of that value covers every pair.
     """
     dist = check_distributivity_blackbox(mul, window, seed)
     if not dist.ok:
@@ -188,11 +194,11 @@ def verify_scaled_form(
     a = extract_scale(mul)
     b = window.bound
     checked(a * b * b, f"the scaled form at (a={a}, n={-b}, m={-b})")
-    ms = range(-b, b + 1)
+    ms = list(window)
     for n in ms:
         an = a * n
         closed = list(range(-an * b, an * (b + 1), an)) if an else [0] * len(ms)
-        row = list(map(mul, repeat(n), ms))
+        row = [mul(n, m) for m in ms]
         if row != closed:
             m = next(m for m, got in zip(ms, row) if got != an * m)
             return ScaledFormReport(a, (n, m), None)

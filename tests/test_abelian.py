@@ -218,6 +218,11 @@ class TestIntegerWindow:
 
 
 class TestCheckedArithmetic:
+    def test_capacity_is_all_ones(self):
+        # |value| <= INT_CAPACITY iff value.bit_length() <= its bit length,
+        # the one test checked and ScaledMult make, only for 2^k - 1
+        assert INT_CAPACITY == 2**INT_CAPACITY.bit_length() - 1
+
     def test_passthrough(self):
         assert checked(INT_CAPACITY) == INT_CAPACITY
         assert checked(-INT_CAPACITY) == -INT_CAPACITY

@@ -54,6 +54,29 @@ class TestMakeScaled:
         with pytest.raises(IntegerOverflowError, match=re.escape(message)):
             ScaledMult(10**10)(10**5, 10**5)
 
+    @pytest.mark.parametrize(
+        "scale, n, m",
+        [(1, INT_CAPACITY, 1), (-1, INT_CAPACITY, 1), (1, 1, -INT_CAPACITY)],
+    )
+    def test_capacity_boundary_returned(self, scale, n, m):
+        assert ScaledMult(scale)(n, m) == scale * n * m
+
+    @pytest.mark.parametrize(
+        "scale, n, m, value",
+        [
+            (1, INT_CAPACITY + 1, 1, INT_CAPACITY + 1),
+            (-1, INT_CAPACITY + 1, 1, -(INT_CAPACITY + 1)),
+            (2, -(2**62), 1, -(2**63)),
+        ],
+    )
+    def test_capacity_boundary_raises(self, scale, n, m, value):
+        message = (
+            f"integer {value} exceeds the checked capacity {INT_CAPACITY} "
+            f"in {scale}*{n}*{m}"
+        )
+        with pytest.raises(IntegerOverflowError, match=re.escape(message)):
+            ScaledMult(scale)(n, m)
+
     @pytest.mark.parametrize("a", [1, -1, -8])
     def test_black_box_of_verify_scaled_form(self, a):
         mul = ScaledMult(a)
@@ -299,6 +322,43 @@ class TestVerifyScaledForm:
         assert not report.rejected
         assert not report.ok and report.scale == 2
         assert report.counterexample == min(broken)
+
+    def test_evaluates_every_pair_once_after_the_probe(self):
+        window = IntegerWindow(40)
+        probe_calls = []
+
+        def counting(n, m):
+            probe_calls.append((n, m))
+            return 3 * n * m
+
+        assert check_distributivity_blackbox(counting, window).ok
+        calls = []
+
+        def box(n, m):
+            calls.append((n, m))
+            return 3 * n * m
+
+        report = verify_scaled_form(box, window)
+        assert report.ok and report.scale == 3
+        probe = len(probe_calls)
+        assert len(calls) == probe + 1 + len(window) ** 2
+        assert calls[:probe] == probe_calls and calls[probe] == (1, 1)
+        assert calls[probe + 1 :] == [(n, m) for n in window for m in window]
+
+    @pytest.mark.parametrize(
+        "corner", [(1000, 1000), (-1000, -1000), (1000, -1000)], ids=str
+    )
+    def test_reports_a_broken_corner_at_bound_1000(self, corner):
+        # the probe never evaluates these corners, so only the row phase
+        # can see them
+        p, q = corner
+
+        def mul(n, m):
+            return 2 * n * m + (n == p and m == q)
+
+        report = verify_scaled_form(mul, IntegerWindow(1000))
+        assert not report.rejected and report.scale == 2
+        assert report.counterexample == corner
 
     def test_overflowing_corner_raises(self):
         # the probe's split sums stay below a*1001*1000 <= INT_CAPACITY, so
