@@ -33,13 +33,16 @@ DEFAULT_ELEMENT_CAP = 10**6
 
 
 def checked(value: int, context: str = "") -> int:
-    """Return the int *value* unchanged, or raise if it left the representable range."""
-    if value.bit_length() > _CAPACITY_BITS:
-        where = f" in {context}" if context else ""
-        raise IntegerOverflowError(
-            f"integer {value} exceeds the checked capacity {INT_CAPACITY}{where}"
-        )
-    return value
+    """Return the int *value* unchanged, or raise if it left the representable
+    range; a value with no ``bit_length``, such as a float, is a usage error."""
+    try:
+        if value.bit_length() <= _CAPACITY_BITS:
+            return value
+        error = IntegerOverflowError
+        problem = f"integer {value} exceeds the checked capacity {INT_CAPACITY}"
+    except AttributeError:
+        error, problem = UsageError, f"checked arithmetic needs an int, got {value!r}"
+    raise error(problem + (f" in {context}" if context else ""))
 
 
 class Frozen:

@@ -18,30 +18,30 @@ or (i, s) is linear in it, one congruence per coordinate, so it is
 solved: the search tries only the values every such triple admits. A
 node is one value tried in one cell, and it meets the due triples whose
 (i, j) or (j, l) is that cell. The value of cell 00 names a part of the
-search up to rank 2, and the values of cells 00 and 01 from rank 3 on,
-where a part still searches at least seven cells. One loop maps
-``_part`` over the parts for every worker count: a pool takes
-``POOL_CHUNK`` parts per ``imap`` call when it would have more than one
-process (it never has more than parts or the CPUs this process may use),
-and the parent takes each part's result in task order as it arrives,
-its tables still pickled while it waits (``_pooled``); else the built-in
-``map`` runs one part at a time in-process. ``Pool`` imports
+search. One loop maps ``_part`` over the parts for every worker count: a
+pool takes ``POOL_CHUNK`` parts per ``imap`` call when it would have more
+than one process (it never has more than parts or the CPUs this process
+may use), and the parent takes each part's result in task order as it
+arrives, its tables still pickled while it waits (``_pooled``); else the
+built-in ``map`` runs one part at a time in-process. ``Pool`` imports
 ``multiprocessing`` only then, so a serial run never loads it. Each part
-sorts its tables row-major (for rank <= 2 the search order already
-is), so every run emits in lexicographic order of the flattened table; a
-part returns int tuples.
+returns its tables as int tuples, sorted row-major (up to rank 2 the
+search order already is), and the parts come in order of cell 00.
 
 The transpose C'[i][j] = C[j][i] of a table is the table of the opposite
-ring, with the same addition. So ``rigidity_report`` searches only the
-tables that are at most their transpose in search order, where each
-mirror pair (a, m), (m, a) comes as two adjacent cells, and counts each
-searched table twice, or once when it is symmetric. Its nodes, and its
-budget, are those of that smaller search. ``enumerate_multiplications``
-and the Z/N stream stay the complete, lexicographic stream.
+ring, with the same addition. So the search keeps only the tables that
+are at most their transpose in search order, where each mirror pair
+(a, m), (m, a) comes as two adjacent cells. ``rigidity_report`` counts
+each kept table twice, or once when it is symmetric. The transpose fixes
+cell 00, so a table and its transpose lie in one part:
+``enumerate_multiplications`` sorts each part's tables together with
+their transposes, which is the complete stream in lexicographic order.
+On Z/N every table is symmetric. Every stream's nodes, and its budget,
+are those of the one search.
 
 The census charges the budget per node. A solve runs once per node that
 passes, and its work is bounded by the plan's size. The parent charges
-the prefix nodes from the set sizes prod_t gcd(n_t, n_i, n_j) before it
+the nodes of cell 00 from its set size prod_t gcd(n_t, n_0) before it
 builds any set, and adds the parts' counts in task order, raising once
 the total exceeds the budget. The parts of one call share the rest of
 the budget equally, so a serial part's cap is the whole rest.
@@ -82,7 +82,6 @@ from .structures import commutative_table, unit_coords
 DEFAULT_BUDGET = 10**8
 GROUP_ORDER_CAP = 10_000
 FULL_TABLE_CAP = 3
-PREFIX_CELLS = 2  # the cells whose values name one part from rank 3 on; else cell 00
 POOL_CHUNK = 256  # parts per pool.imap call, so the parent's task list is bounded
 
 
@@ -225,37 +224,34 @@ def _solve(moduli: tuple[int, ...], table, reach, depth: int, step) -> list[list
 
 
 def _part(task: tuple) -> tuple[list[tuple], int]:
-    """Tables extending one prefix, as sorted int tuples, and the nodes visited.
+    """The tables with one value of cell 00 that are at most their
+    transpose, as sorted int tuples, and the nodes visited.
 
-    task = (moduli, values of the prefix cells, cap, canonical); the prefix
-    is cell 00 up to rank 2 and cells 00 and 01 from rank 3 on. A node is
-    one value tried in one cell; past ``cap`` nodes the search stops and
+    task = (moduli, value of cell 00, cap). A node is one value tried in
+    one cell after cell 00; past ``cap`` nodes the search stops and
     reports cap + 1. On entering a depth the search solves the ``solved``
     entries of that depth's step (see ``_plan``) whose due depth, looked up
     from the reaches of the cells fixed so far, is that depth, and tries
     only the values they admit, in lexicographic order. Each tried value then
     meets the due entries of ``tested``, so each triple is checked once per
     path. A failing tested triple moves to the front of its list, so the
-    triple that cuts most is tried first. The prefix cells meet the tested
-    entries of their depths alike, and none is solved: a triple reading cell
-    00 or 01 only linearly falls due later. A failing prefix returns no
-    tables and no nodes.
+    triple that cuts most is tried first. Cell 00 meets the tested entries
+    of depth 0 alike, and none is solved there; a failing value of it
+    returns no tables and no nodes.
 
-    With ``canonical`` the search keeps only the tables that are at most
-    their transpose in search order: while every mirror pair so far is
-    symmetric (``tied``), cell (a, b) with a > b drops the values below
-    C[b][a], by first coordinate before the product, and never makes them
-    nodes. Prefix cells 00 and 01 close no mirror pair: every prefix starts tied.
+    While every mirror pair so far is symmetric (``tied``), cell (a, b)
+    with a > b drops the values below C[b][a], by first coordinate before
+    the product, and never makes them nodes. Cell 00 closes no mirror pair,
+    so every part starts tied.
     """
-    moduli, prefix, cap, canonical = task
+    moduli, value, cap = task
     plan = _plan(moduli)
     checks_at = [list(tested) for *_, tested in plan]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
     reach = [[0] * k for _ in range(k)]
-    for ((i, j), _, reach_of, *_), x in zip(plan, prefix):
-        table[i][j] = x
-        reach[i][j] = reach_of[x]
+    table[0][0] = value
+    reach[0][0] = plan[0][2][value]
     found = []
     nodes = 0
 
@@ -295,8 +291,8 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
             if passes(depth):
                 extend(depth + 1, tied and (mirror is None or x == mirror))
 
-    if all(passes(d) for d in range(len(prefix))):
-        extend(len(prefix), canonical)
+    if passes(0):
+        extend(1, True)
     found.sort()
     return found, nodes
 
@@ -321,21 +317,16 @@ def _pooled(pool, tasks: list) -> Iterator[tuple[list[tuple], int]]:
         yield pickle.loads(packed), nodes
 
 
-def _tables(
-    spec: GroupSpec, config: SearchConfig, canonical: bool = False
-) -> Iterator[tuple]:
-    """Every associative table on the group, exactly once, as coordinate tuples.
+def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
+    """Every associative table on the group that is at most its transpose,
+    exactly once, as coordinate tuples: one sorted list per value of cell 00.
 
-    Emitted in lexicographic order of the flattened constant table. Every
-    node of the search is charged against the budget, and the search
-    raises once the count exceeds it. The prefix nodes are charged from
-    the set sizes alone, before any candidate set is built. The value of
-    cell 00 names a part up to rank 2, where a part named by two cells
-    would search only cells 10 and 11 and cost about as much to set up as
-    to search; cells 00 and 01 name it from rank 3 on. A pool streams the
-    parts' results (``_pooled``), so the parent unpickles one part's
-    tables at a time. With ``canonical`` it keeps one table of each mirror
-    pair (see ``_part``).
+    The parts come in order of cell 00, so the tables come in lexicographic
+    order of the flattened constant table. Every node of the search is
+    charged against the budget, and the search raises once the count
+    exceeds it. The nodes of cell 00 are charged from its set size alone,
+    before any candidate set is built. A pool streams the parts' results
+    (``_pooled``), so the parent unpickles one part's tables at a time.
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
@@ -343,8 +334,7 @@ def _tables(
         )
     budget = config.budget
     moduli = spec.moduli
-    cells = _order(spec.rank)[: PREFIX_CELLS if spec.rank > 2 else 1]
-    sizes = [_set_size(moduli, moduli[a], moduli[b]) for a, b in cells]
+    parts = _set_size(moduli, moduli[0], moduli[0])  # one per value of cell 00
     spent = 0
 
     def spend(nodes: int) -> None:
@@ -356,26 +346,24 @@ def _tables(
                 "(cell values tried), the budget"
             )
 
-    # the parent visits every prefix node; a part whose prefix fails adds none
-    spend(sum(math.prod(sizes[: d + 1]) for d in range(len(sizes))))
-    steps = _plan(moduli)[: len(cells)]
-    prefixes = itertools.product(*(itertools.product(*c) for _, c, *_ in steps))
+    spend(parts)  # the parent visits every value of cell 00; a failing one adds none
+    values = itertools.product(*_plan(moduli)[0][1])
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
     else:
         cpus = os.cpu_count() or 1
-    processes = min(config.workers, math.prod(sizes), cpus)
+    processes = min(config.workers, parts, cpus)
     with Pool(processes) if processes > 1 else contextlib.nullcontext() as pool:
         size = 1 if pool is None else POOL_CHUNK
-        for chunk in iter(lambda: list(itertools.islice(prefixes, size)), []):
+        for chunk in iter(lambda: list(itertools.islice(values, size)), []):
             share = (budget - spent) // len(chunk)
-            tasks = [(moduli, prefix, share, canonical) for prefix in chunk]
+            tasks = [(moduli, value, share) for value in chunk]
             results = map(_part, tasks) if pool is None else _pooled(pool, tasks)
-            for prefix, (tables, nodes) in zip(chunk, results):
+            for value, (tables, nodes) in zip(chunk, results):
                 if nodes > share and share < budget - spent:  # cut short below the rest
-                    tables, nodes = _part((moduli, prefix, budget - spent, canonical))
+                    tables, nodes = _part((moduli, value, budget - spent))
                 spend(nodes)
-                yield from tables
+                yield tables
 
 
 def enumerate_multiplications(
@@ -383,9 +371,15 @@ def enumerate_multiplications(
 ) -> Iterator[RingStructure]:
     """Every associative bilinear multiplication on the group, exactly once.
 
-    ``_tables``, in its order and under its budget, as checked ``RingStructure``s.
+    Each part of ``_tables`` with the transposes of its tables, sorted, as
+    checked ``RingStructure``s: the complete stream in lexicographic order,
+    under the budget of the search.
     """
-    return (RingStructure(StructureConstants(spec, t)) for t in _tables(spec, config))
+    return (
+        RingStructure(StructureConstants(spec, t))
+        for part in _tables(spec, config)
+        for t in sorted({*part, *(tuple(zip(*c)) for c in part)})
+    )
 
 
 class RigidityReport(NamedTuple):
@@ -420,7 +414,7 @@ def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
     charge(n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)")
     residues = [(m,) for m in range(n)]
     closed = [[residues[c * m % n] for m in range(n)] for c in range(n)]
-    for table in _tables(spec, config):
+    for (table,) in _tables(spec, config):  # on Z/N a part is one table
         scale = table[0][0][0]
         mult = StructureConstants(spec, table)
         for x in range(n):
@@ -452,7 +446,7 @@ def rigidity_report(
     if spec.is_cyclic:
         stream = _cyclic_rings(spec, config)
     else:
-        stream = _tables(spec, config, canonical=True)
+        stream = itertools.chain.from_iterable(_tables(spec, config))
     for table in stream:
         symmetric = commutative_table(table)
         weight = 1 if symmetric else 2

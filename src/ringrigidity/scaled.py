@@ -53,8 +53,11 @@ def ScaledMult(scale: int) -> BlackBoxMul:
     """The closure (n, m) -> scale*n*m, checked; a call costs less than a __call__.
 
     One exact test, ``value.bit_length() > 63``, rejects what ``checked``
-    rejects: |value| above ``INT_CAPACITY`` = 2^63 - 1.
+    rejects: |value| above ``INT_CAPACITY`` = 2^63 - 1. A scale that is not
+    an int is refused here, once, so no call needs a type test.
     """
+    if not isinstance(scale, int):
+        raise UsageError(f"ScaledMult needs an int scale, got {scale!r}")
 
     def mul(n: int, m: int) -> int:
         # hot path: the context string is only built on actual overflow

@@ -17,6 +17,10 @@ from ringrigidity import GroupElement, GroupSpec, StructureConstants, all_elemen
 from ringrigidity import scaled
 from ringrigidity.structures import associative_table
 
+# the census of 2,2 visits exactly this many search nodes (cell values
+# tried), the library stream as the CLI
+KLEIN_NODES = 77
+
 
 def iterated_add(g: GroupElement, count: int) -> GroupElement:
     """count-fold sum of g using only the group addition."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,3 +238,18 @@ class TestCheckedArithmetic:
         # here it must raise instead.
         with pytest.raises(IntegerOverflowError):
             checked(2**63)
+
+    @pytest.mark.parametrize("value", [2.0, 1.5, "7", None])
+    def test_non_int_is_a_usage_error(self, value):
+        # named with its context, not an AttributeError from bit_length
+        message = f"checked arithmetic needs an int, got {value!r}"
+        with pytest.raises(UsageError, match=re.escape(message) + "$"):
+            checked(value)
+        with pytest.raises(UsageError, match=re.escape(message + " in a sum") + "$"):
+            checked(value, "a sum")
+
+    def test_overflow_names_its_context(self):
+        message = f"integer {2**63} exceeds the checked capacity {INT_CAPACITY}"
+        message += " in a sum"
+        with pytest.raises(IntegerOverflowError, match=re.escape(message) + "$"):
+            checked(2**63, "a sum")

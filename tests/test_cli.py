@@ -25,6 +25,8 @@ from ringrigidity import (
 )
 from ringrigidity.cli import run
 
+from conftest import KLEIN_NODES
+
 GOLDEN = Path(__file__).parent / "golden"
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "docs" / "schema.json").read_text()
@@ -164,14 +166,15 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_capacity_is_three(self, monkeypatch):
-        # the census of 2,2 visits 77 search nodes: that budget passes, one
-        # less exits 3
+        # the census of 2,2 visits KLEIN_NODES search nodes: that budget
+        # passes, one less exits 3
         for workers in ("1", "2"):
-            monkeypatch.setenv("RIGIDITY_BUDGET", "76")
+            monkeypatch.setenv("RIGIDITY_BUDGET", str(KLEIN_NODES - 1))
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 3
-            assert "more than 76 search nodes" in doc["payload"]["message"]
-            monkeypatch.setenv("RIGIDITY_BUDGET", "77")
+            message = doc["payload"]["message"]
+            assert f"more than {KLEIN_NODES - 1} search nodes" in message
+            monkeypatch.setenv("RIGIDITY_BUDGET", str(KLEIN_NODES))
             code, doc = run_json("enumerate", "--group", "2,2", "--workers", workers)
             assert code == 0 and doc["payload"]["total"] == 28
 
@@ -179,7 +182,7 @@ class TestExitCodes:
         "group,nodes,counts,workers",
         [
             pytest.param("2,2,2", 14_259, [1688, 988, 532], "1", id="2,2,2"),
-            # a part's share is 221 nodes and the largest part has 1,649,
+            # a part's share is 1,781 nodes and the largest part has 2,935,
             # so the pool's parts are cut short and run again in the parent
             pytest.param(
                 "2,2,2", 14_259, [1688, 988, 532], "2", id="2,2,2-workers2"
@@ -197,24 +200,25 @@ class TestExitCodes:
 
     def test_serial_run_never_reruns_a_part(self, monkeypatch):
         # a serial part's cap is the whole rest of the budget, so each of the
-        # 64 prefixes of 2,2,4 runs once, and none twice when the budget is short
+        # 8 values of cell 00 of 2,2,4 runs once, and none twice when the
+        # budget is short
         part = enumeration._part
-        prefixes = []
+        values = []
 
         def spy(task):
-            prefixes.append(task[1])
+            values.append(task[1])
             return part(task)
 
         monkeypatch.setattr(enumeration, "_part", spy)
         monkeypatch.delenv("RIGIDITY_BUDGET", raising=False)
         code, doc = run_json("enumerate", "--group", "2,2,4")
         assert code == 0
-        assert len(prefixes) == len(set(prefixes)) == 64
-        prefixes.clear()
+        assert len(values) == len(set(values)) == 8
+        values.clear()
         monkeypatch.setenv("RIGIDITY_BUDGET", "64332")
         code, doc = run_json("enumerate", "--group", "2,2,4")
         assert code == 3
-        assert len(prefixes) == len(set(prefixes))
+        assert len(values) == len(set(values))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_charge_precedes_candidate_sets(self, monkeypatch, workers):

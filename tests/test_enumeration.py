@@ -25,10 +25,8 @@ from ringrigidity import enumeration
 from ringrigidity.abelian import all_coords
 from ringrigidity.structures import associative_triple
 
-from conftest import exhaustive_census, factor_sequences, object_path_census
-
-# 2,2 visits exactly this many search nodes (cell values tried)
-KLEIN_NODES = 88
+from conftest import KLEIN_NODES, exhaustive_census, factor_sequences
+from conftest import object_path_census
 
 # the groups whose census plan is checked step by step
 SCHEDULE_GROUPS = [m for m in factor_sequences(16) if len(m) <= 3] + [(4, 6, 9)]
@@ -274,8 +272,8 @@ class TestObjectPathOracle:
         # a pool worker pickles its part's tables as nested int tuples,
         # with no library object in them
         moduli = (2, 2, 4)
-        sets = [list(reach_of) for _, _, reach_of, _, _ in enumeration._plan(moduli)]
-        task = (moduli, (sets[0][1], sets[1][1]), enumeration.DEFAULT_BUDGET, True)
+        cell = list(enumeration._plan(moduli)[0][2])
+        task = (moduli, cell[1], enumeration.DEFAULT_BUDGET)
         part = enumeration._part(task)
         tables, nodes = part
         assert tables and nodes
@@ -314,11 +312,13 @@ class TestCountPathAgainstObjectPath:
 class TestExhaustiveOracle:
     @pytest.mark.parametrize(
         "moduli",
-        [m for m in factor_sequences(16) if len(m) == 2] + [(3, 9)],
+        [m for m in SMALL_GROUPS if search_space_size(GroupSpec(m)) <= 10**5]
+        + [(3, 9)],
         ids=lambda m: ",".join(map(str, m)),
     )
     def test_pruned_stream_equals_exhaustive_walk(self, moduli):
-        # same tables in the same order, serial and through a real pool
+        # same tables in the same order, serial and through a real pool: the
+        # expanded mirror-pair search against a walk of every candidate
         spec = GroupSpec(moduli)
         walk = exhaustive_census(spec)
         for workers in (1, 2):
@@ -464,8 +464,7 @@ class TestSchedule:
         # found by a scan of every element; reach_of is the last non-zero
         # coordinate plus one; an entry is tested where the cell is its
         # (i, j) or (j, l), else solved, and never both or twice; _part
-        # checks the prefix cells with their tested entries alone, so no
-        # step below PREFIX_CELLS solves one
+        # checks cell 00 with its tested entries alone, so step 0 solves none
         r = range(len(moduli))
         plan = enumeration._plan(moduli)
         assert sorted(cell for cell, *_ in plan) == list(itertools.product(r, r))
@@ -484,7 +483,7 @@ class TestSchedule:
             assert len(set(entries)) == len(entries), (i, j)
             assert all((i, j) in (e[:2], e[1:3]) for e in tested), (i, j)
             assert not any((i, j) in (e[:2], e[1:3]) for e in solved), (i, j)
-            assert d >= enumeration.PREFIX_CELLS or solved == (), (i, j)
+            assert d or solved == (), (i, j)
 
 
 class TestLinearSolve:
@@ -568,25 +567,56 @@ def transpose(table):
     return tuple(zip(*table))
 
 
+def transport(table, perm):
+    """The table on the generators reordered by ``perm``: generator t of the
+    new group is generator perm[t] of the old one, in cells and coordinates."""
+    return tuple(
+        tuple(tuple(table[a][b][c] for c in perm) for b in perm) for a in perm
+    )
+
+
 class TestCanonicalSearch:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "moduli", SMALL_GROUPS, ids=lambda m: ",".join(map(str, m))
     )
     def test_each_mirror_pair_searched_once(self, moduli, workers):
-        # the canonical stream is sorted, never holds a table together with
-        # its distinct transpose, and with the transposes it is the complete
-        # stream
+        # a part holds the tables of one value of cell 00, the parts come
+        # sorted, and they never hold a table together with its distinct
+        # transpose; the library stream is the parts with their transposes
         spec = GroupSpec(moduli)
         config = SearchConfig(workers=workers)
-        complete = list(enumeration._tables(spec, config))
-        canonical = list(enumeration._tables(spec, config, canonical=True))
+        parts = list(enumeration._tables(spec, config))
+        assert all(len({t[0][0] for t in part}) == 1 for part in parts)
+        canonical = [t for part in parts for t in part]
         assert canonical == sorted(canonical)
         emitted = set(canonical)
         assert not any(transpose(t) != t and transpose(t) in emitted for t in canonical)
-        assert emitted | set(map(transpose, canonical)) == set(complete)
+        complete = coords_tables(spec, config)
+        assert set(complete) == emitted | set(map(transpose, canonical))
         if len(moduli) > 1 and math.gcd(*moduli[:2]) > 1:
             assert len(canonical) < len(complete)  # the filter did cut
+
+    @pytest.mark.parametrize(
+        "moduli", [(2, 2, 2), (2, 2, 4), (2, 2, 3)], ids=lambda m: ",".join(map(str, m))
+    )
+    def test_closed_under_generator_permutations(self, moduli):
+        # reordering the generators maps the rings of one factor list onto
+        # those of the reordered list, such as 2,2,4 onto 2,4,2 and 4,2,2;
+        # the transpose filter knows nothing of these maps. The complete
+        # tables are the searched ones with their transposes, as the library
+        # stream builds them (test_each_mirror_pair_searched_once), without
+        # a ring for each
+        streams = {}
+        for perm in itertools.permutations(range(len(moduli))):
+            target = tuple(moduli[t] for t in perm)
+            if target not in streams:
+                parts = enumeration._tables(GroupSpec(target), SearchConfig())
+                streams[target] = sorted(
+                    {u for t in itertools.chain(*parts) for u in (t, transpose(t))}
+                )
+            moved = sorted(transport(t, perm) for t in streams[moduli])
+            assert moved == streams[target], perm
 
 
 class TestDeterminismAndParallelism:
@@ -637,10 +667,10 @@ class TestDeterminismAndParallelism:
         assert coords_tables(spec, SearchConfig(workers=5000)) == serial
         assert serial_pool.sizes == [3]
 
-    def test_pool_maps_rank_aware_parts(self, monkeypatch, serial_pool):
-        # up to rank 2 the 4 values of cell 00 name the parts of 2,2; from
-        # rank 3 on cells 00 and 01 do, 8 x 8 parts on 2,2,2
-        for moduli, parts in [((2, 2), 4), ((2, 2, 2), 64)]:
+    def test_pool_maps_a_part_per_value_of_cell_00(self, monkeypatch, serial_pool):
+        # at every rank the values of cell 00 name the parts: 4 on 2,2 and
+        # 8 on 2,2,2
+        for moduli, parts in [((2, 2), 4), ((2, 2, 2), 8)]:
             spec = GroupSpec(moduli)
             serial = coords_tables(spec)
             assert coords_tables(spec, SearchConfig(workers=2)) == serial
@@ -657,7 +687,7 @@ class TestDeterminismAndParallelism:
         next(stream)
         stream.close()
         assert serial_pool.mapped == [16]
-        assert run == [((0, 0),)]
+        assert run == [(0, 0)]
 
     def test_pool_without_imap_maps_chunks(self, monkeypatch):
         # a pool that offers only map runs each chunk at once, same stream
@@ -710,9 +740,9 @@ class TestCapsAndBudget:
         config = SearchConfig(workers=2, budget=1000)
         with pytest.raises(CapacityError, match="more than 1000 search nodes"):
             list(enumerate_multiplications(GroupSpec((2, 4, 4)), config))
-        assert pool.mapped == [64]
-        prefix_nodes = 8 + 8 * 8  # cells 00 and 01 hold 8 values each
-        assert 1000 < prefix_nodes + visited[0] <= 2 * 1000 + enumeration.POOL_CHUNK + 1
+        assert pool.mapped == [8]
+        cell_nodes = 8  # cell 00 holds 8 values
+        assert 1000 < cell_nodes + visited[0] <= 2 * 1000 + enumeration.POOL_CHUNK + 1
 
     def test_product_size_not_charged(self):
         # 2,2,2 has 8^9 candidate tables, over the default budget, yet the

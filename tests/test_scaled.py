@@ -77,6 +77,12 @@ class TestMakeScaled:
         with pytest.raises(IntegerOverflowError, match=re.escape(message)):
             ScaledMult(scale)(n, m)
 
+    @pytest.mark.parametrize("scale", [2.0, 0.5, "3", None])
+    def test_non_int_scale_refused_when_built(self, scale):
+        message = f"ScaledMult needs an int scale, got {scale!r}"
+        with pytest.raises(UsageError, match=re.escape(message)):
+            ScaledMult(scale)
+
     @pytest.mark.parametrize("a", [1, -1, -8])
     def test_black_box_of_verify_scaled_form(self, a):
         mul = ScaledMult(a)
@@ -221,6 +227,12 @@ class TestVerifyScaledForm:
     def test_alternate(self):
         report = verify_scaled_form(ScaledMult(-1), IntegerWindow(100))
         assert report.ok and report.scale == -1
+
+    def test_non_int_black_box_is_a_usage_error(self):
+        # float products equal the scaled ones, but the checked sums of the
+        # distributivity probe need ints
+        with pytest.raises(UsageError, match="checked arithmetic needs an int, got "):
+            verify_scaled_form(lambda n, m: 2.0 * n * m, IntegerWindow(5))
 
     def test_non_distributive_rejected(self):
         report = verify_scaled_form(lambda n, m: n * m + 1, IntegerWindow(10))

@@ -14,7 +14,6 @@ from ringrigidity import (
     InvariantViolation,
     RingStructure,
     ScaledMult,
-    SearchConfig,
     StructureConstants,
     UsageError,
     all_elements,
@@ -25,7 +24,7 @@ from ringrigidity import (
     enumerate_multiplications,
     find_unit,
 )
-from ringrigidity import enumeration, structures
+from ringrigidity import structures
 from ringrigidity.abelian import all_coords
 from ringrigidity.structures import (
     DISTRIBUTIVITY_SAMPLES,
@@ -356,7 +355,7 @@ class TestUnitOracle:
         # the unit is the u with u*x = x = x*u for every x, by naive_eval
         spec = GroupSpec(moduli)
         rng = random.Random(",".join(map(str, moduli)))
-        tables = list(enumeration._tables(spec, SearchConfig()))
+        tables = [ring.mult.table for ring in enumerate_multiplications(spec)]
         tables += [random_constants(spec, rng).table for _ in range(20)]
         if all(moduli[0] % n == 0 for n in moduli):
             tables += [unital_by_construction(spec, rng).table for _ in range(10)]
