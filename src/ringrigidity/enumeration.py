@@ -42,9 +42,12 @@ are those of the one search.
 The census charges the budget per node. A solve runs once per node that
 passes, and its work is bounded by the plan's size. The parent charges
 the nodes of cell 00 from its set size prod_t gcd(n_t, n_0) before it
-builds any set, and adds the parts' counts in task order, raising once
-the total exceeds the budget. The parts of one call share the rest of
-the budget equally, so a serial part's cap is the whole rest.
+builds any set, and refuses a plan whose k^2 candidate sets hold more
+values than the budget, from their sizes alone; only cell 00's values are
+nodes, so the others are not spent. It adds the parts' counts in task
+order, raising once the total exceeds the budget. The parts of one call
+share the rest of the budget equally, so a serial part's cap is the whole
+rest.
 A part cut short at a share below the current rest is run again in the
 parent on the whole rest; one cut short at the whole rest needs no second
 run, so a serial run never runs a part twice. So the verdict is the same
@@ -77,7 +80,7 @@ from typing import Iterator, NamedTuple, Optional
 from .abelian import Frozen, GroupSpec
 from .errors import CapacityError, InvariantViolation, UsageError
 from .structures import RingStructure, StructureConstants, associative_triple
-from .structures import commutative_table, unit_coords
+from .structures import unit_coords
 
 DEFAULT_BUDGET = 10**8
 GROUP_ORDER_CAP = 10_000
@@ -325,8 +328,10 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     order of the flattened constant table. Every node of the search is
     charged against the budget, and the search raises once the count
     exceeds it. The nodes of cell 00 are charged from its set size alone,
-    before any candidate set is built. A pool streams the parts' results
-    (``_pooled``), so the parent unpickles one part's tables at a time.
+    before any candidate set is built, and a plan whose sets hold more
+    values than the budget is refused before ``_plan`` builds them. A pool
+    streams the parts' results (``_pooled``), so the parent unpickles one
+    part's tables at a time.
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
@@ -347,6 +352,10 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
             )
 
     spend(parts)  # the parent visits every value of cell 00; a failing one adds none
+    # the plan's k^2 candidate sets, refused and not spent: only cell 00's
+    # values are nodes yet
+    sets = sum(_set_size(moduli, a, b) for a in moduli for b in moduli)
+    charge(sets, budget, f"candidate cell values in the census plan of {spec}")
     values = itertools.product(*_plan(moduli)[0][1])
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
@@ -448,7 +457,8 @@ def rigidity_report(
     else:
         stream = itertools.chain.from_iterable(_tables(spec, config))
     for table in stream:
-        symmetric = commutative_table(table)
+        transpose = tuple(zip(*table))
+        symmetric = table == transpose  # by bilinearity, commutativity
         weight = 1 if symmetric else 2
         total += weight
         commutative += symmetric
@@ -456,7 +466,7 @@ def rigidity_report(
             unital += weight
             if spec.is_cyclic:
                 scales.append(table[0][0][0])
-            smallest = sorted({*smallest, table, tuple(zip(*table))})[:2]
+            smallest = sorted({*smallest, table, transpose})[:2]
     return RigidityReport(
         group=spec,
         total=total,

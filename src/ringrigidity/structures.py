@@ -18,12 +18,14 @@ of the generators. ``product`` applies it to two coordinate tuples and
 ``product_row`` to every element in lexicographic order; ``product_column``
 is its mirror, x*y for every x from the right images e_i*y. ``eval`` is the
 element-object edge, taking and returning ``GroupElement``. ``unit_coords``
-screens the coordinate tuples, one linear congruence per generator,
-coordinate and side. A screen's solutions depend only on the group and the
-congruence, so each is built once as a bitmask over the elements in
-lexicographic order and cached (``_screen``); a table ANDs at most 2k^2 of
-them. ``find_unit`` verifies the survivor, raising if it fails, and makes
-it an element.
+screens the coordinate tuples by table side: row j or column j of the table
+says sum_i u_i side[i] = e_j, k linear congruences, one per coordinate
+(``_screen``). Each screen's and each side's solutions depend only on the
+group and the congruences, so each is built once as a bitmask over the
+elements in lexicographic order, a side as the AND of its k screens, and
+kept in one cache bounded by bytes (``_Masks``); a table ANDs at most 2k
+side masks. ``find_unit`` verifies the survivor, raising if it fails, and
+makes it an element.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
@@ -33,7 +35,6 @@ window on small exhaustive triples plus, above bound 3,
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -204,21 +205,50 @@ def check_associativity(constants: StructureConstants) -> bool:
     return associative_table(constants.group.moduli, constants.table)
 
 
-def commutative_table(table) -> bool:
-    """Table symmetry C[i][j] = C[j][i]; by bilinearity, sufficient and necessary."""
-    return tuple(table) == tuple(zip(*table))
-
-
 def check_commutativity(constants: StructureConstants) -> bool:
-    """Commutativity of the table (see ``commutative_table``)."""
-    return commutative_table(constants.table)
+    """Table symmetry C[i][j] = C[j][i]; by bilinearity, sufficient and necessary."""
+    return constants.table == tuple(zip(*constants.table))
 
 
-SCREEN_CACHE = 512  # the screens ``_screen`` keeps; see there for the memory
+SCREEN_BYTES = 640 * 1024  # what the mask cache may hold; see ``_Masks``
+ENTRY_BYTES = 512  # charged per cached mask besides its bits: key, slot, int header
 _BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 bytes to the digits int() reads
 
 
-@functools.lru_cache(maxsize=SCREEN_CACHE)
+class _Masks(dict):
+    """Screen and side masks by key, oldest out first past ``limit`` bytes.
+
+    Each mask is charged its bytes plus ENTRY_BYTES for its key tuples,
+    dict slot and int header, which take about 150 bytes on a census group
+    and 560 on Z/16^3, so many small masks stay under the limit as few
+    large ones do. SCREEN_BYTES holds
+    every mask the census of 2,2, 2,4, 2,6, 3,3, 3,9 and 4,4 builds (about
+    900) and Z/1000's 1000 side masks; at ``find_unit``'s element cap of
+    10^6 it still holds five masks of 125 KB. A mask over the limit is
+    dropped as soon as it is kept.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+        self.held = 0  # the bytes charged for the masks kept
+
+    def keep(self, key, mask: int) -> int:
+        self[key] = mask
+        self.held += mask.bit_length() // 8 + ENTRY_BYTES
+        while self.held > self.limit:
+            oldest = self.pop(next(iter(self)))
+            self.held -= oldest.bit_length() // 8 + ENTRY_BYTES
+        return mask
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+_masks = _Masks(SCREEN_BYTES)
+
+
 def _screen(
     moduli: tuple[int, ...], t: int, coefficients: tuple[int, ...], want: int
 ) -> int:
@@ -226,9 +256,6 @@ def _screen(
 
     Bit p stands for the p-th coordinate tuple in lexicographic order. The
     sums are built one generator at a time, as ``_span`` builds its columns.
-    A mask holds |G| bits, so the cache holds at most SCREEN_CACHE * |G| / 8
-    bytes of masks: 640 KB at the census's group order cap of 10^4, 64 MB
-    at ``find_unit``'s element cap of 10^6.
     """
     n = moduli[t]
     sums = [0]
@@ -237,25 +264,46 @@ def _screen(
     return int(bytes([s == want for s in reversed(sums)]).translate(_BITS), 2)
 
 
+def _side(moduli: tuple[int, ...], j: int, side: tuple) -> int:
+    """The bitmask of the u with sum_i u_i side[i] = e_j, kept in ``_masks``.
+
+    It is the AND of the k screens of coordinate t, want [t == j]. The
+    sides of a group share their screens, so those are kept too, except on
+    a rank-1 group, where the side is its one screen.
+    """
+    mask = -1
+    for t in range(len(moduli)):
+        key = (moduli, t, tuple(c[t] for c in side), int(t == j))
+        screen = _masks.get(key)
+        if screen is None:
+            screen = _screen(*key)
+            if len(moduli) > 1:
+                _masks.keep(key, screen)
+        mask &= screen
+    return _masks.keep((moduli, j, side), mask)
+
+
 def unit_coords(moduli: tuple[int, ...], table) -> Optional[tuple[int, ...]]:
     """The coordinates of the two-sided identity of the table, or None.
 
-    Screens the coordinate tuples u one generator e_j and coordinate t at a
-    time: (u*e_j)_t = sum_i u_i C[i][j]_t and (e_j*u)_t = sum_i u_i C[j][i]_t
-    must both be [t == j] mod n_t. Each screen is a cached bitmask
-    (``_screen``), so a table costs at most 2k^2 ANDs, stopping once none
-    is left. By bilinearity a survivor is the identity, hence unique, so
-    the census counts by it alone; its bit is decoded by mixed radix.
+    The rows are tuples of coordinate tuples, as each side keys a mask.
+    Screens the coordinate tuples u one side at a time: (e_j*u)_t = sum_i
+    u_i C[j][i]_t reads row j and (u*e_j)_t = sum_i u_i C[i][j]_t column j,
+    and both must be [t == j] mod n_t for every t. A side's solutions are
+    one cached bitmask keyed by (moduli, j, side) (``_side``), so a table
+    costs at most 2k lookups and ANDs, stopping once none is left. By
+    bilinearity a survivor is the identity, hence unique, so the census
+    counts by it alone; its bit is decoded by mixed radix.
     """
     survivors = -1  # every tuple
-    for j, row in enumerate(table):
-        sides = (row, [r[j] for r in table])  # C[j][i] for e_j*u, C[i][j] for u*e_j
-        for t in range(len(moduli)):
-            want = int(t == j)
-            for side in sides:
-                survivors &= _screen(moduli, t, tuple(c[t] for c in side), want)
-                if not survivors:
-                    return None
+    for j, sides in enumerate(zip(table, zip(*table))):
+        for side in sides:
+            mask = _masks.get((moduli, j, side))
+            if mask is None:
+                mask = _side(moduli, j, side)
+            survivors &= mask
+            if not survivors:
+                return None
     p = survivors.bit_length() - 1
     coords = []
     for n in reversed(moduli):

@@ -234,6 +234,23 @@ class TestExitCodes:
         assert "more than 1 search nodes" in doc["payload"]["message"]
         assert built == []
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_plan_refused_before_its_candidate_sets(self, monkeypatch, workers):
+        # (Z/2)^12 under a budget of 5000: cell 00's 4096 nodes fit, but its
+        # 144 cells hold 589,824 candidates, so ``_plan`` never runs
+        built = []
+        monkeypatch.setattr(enumeration, "_plan", built.append)
+        monkeypatch.setenv("RIGIDITY_BUDGET", "5000")
+        code, doc = run_json(
+            "enumerate", "--group", ",".join(["2"] * 12), "--workers", workers
+        )
+        assert code == 3
+        jsonschema.validate(doc, SCHEMA)
+        message = doc["payload"]["message"]
+        assert "589824 candidate cell values" in message
+        assert "over the budget of 5000" in message
+        assert built == []
+
     def test_node_charge_stops_search(self, monkeypatch):
         # 2,4,4 has 3.4e10 candidate tables; the search itself meets the budget
         monkeypatch.setenv("RIGIDITY_BUDGET", "1000")

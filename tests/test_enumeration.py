@@ -752,6 +752,19 @@ class TestCapsAndBudget:
         zero = spec.zero().coords
         assert next(enumerate_multiplications(spec)).mult.table == ((zero,) * 3,) * 3
 
+    def test_plan_size_refused_not_charged(self):
+        # the 4 cells of 2,2 hold 16 candidates: a budget below that is
+        # refused before the plan is built, and at 16 the search runs and is
+        # cut by its nodes alone
+        spec = GroupSpec((2, 2))
+        with pytest.raises(CapacityError, match="16 candidate cell values.* 15$"):
+            list(enumerate_multiplications(spec, SearchConfig(budget=15)))
+        with pytest.raises(CapacityError, match="more than 16 search nodes"):
+            list(enumerate_multiplications(spec, SearchConfig(budget=16)))
+        # on Z/N the plan is cell 00, whose N values are the whole search
+        rings = enumerate_multiplications(GroupSpec((5,)), SearchConfig(budget=5))
+        assert len(list(rings)) == 5
+
     def test_scaled_form_work_charged(self):
         # Z/N checks N rings of N^2 products each, before any work starts
         spec = GroupSpec((12,))

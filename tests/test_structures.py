@@ -14,6 +14,7 @@ from ringrigidity import (
     InvariantViolation,
     RingStructure,
     ScaledMult,
+    SearchConfig,
     StructureConstants,
     UsageError,
     all_elements,
@@ -23,12 +24,14 @@ from ringrigidity import (
     cyclic_constants,
     enumerate_multiplications,
     find_unit,
+    rigidity_report,
 )
-from ringrigidity import structures
+from ringrigidity import enumeration, structures
 from ringrigidity.abelian import all_coords
 from ringrigidity.structures import (
     DISTRIBUTIVITY_SAMPLES,
-    SCREEN_CACHE,
+    ENTRY_BYTES,
+    SCREEN_BYTES,
     associative_table,
     associative_triple,
     unit_coords,
@@ -376,35 +379,106 @@ class TestUnitOracle:
             assert unit_coords(moduli, table) == (units[0] if units else None), table
 
     def test_cache_bounded(self):
-        # tables on Z/16^3 (order 4096) whose first screen, e_0*u = e_0 in
-        # coordinate 0, differs for each of 3 * SCREEN_CACHE tables: the
-        # cache keeps at most SCREEN_CACHE masks of 4096 bits, plus up to a
-        # kilobyte each for its key, link and dict slot
+        # tables on Z/16^3 (order 4096) whose first side, row 0 with e_0*u =
+        # e_0, differs for each of 3 * 512 tables: the cache keeps its masks
+        # of 4096 bits within the bytes 512 of them would take with up to a
+        # kilobyte each for their keys, links and dict slots
         moduli = (16, 16, 16)
         zero = (0, 0, 0)
         rows = [(zero,) * 3] * 2
         coefficients = itertools.product(range(16), repeat=3)
-        structures._screen.cache_clear()
+        structures._masks.clear()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            for a, b, c in itertools.islice(coefficients, 3 * SCREEN_CACHE):
+            for a, b, c in itertools.islice(coefficients, 3 * 512):
                 unit_coords(moduli, [((a, 0, 0), (b, 0, 0), (c, 0, 0)), *rows])
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-            structures._screen.cache_clear()
-        assert held < SCREEN_CACHE * (16**3 // 8 + 1024)
+            structures._masks.clear()
+        assert held < 512 * (16**3 // 8 + 1024)
 
-    def test_element_cap_before_any_screen(self):
+    def test_small_masks_bounded_by_their_entries(self):
+        # 8000 distinct rows 0 on Z/4^3 (order 64, masks of 8 bytes): only
+        # the per-entry charge keeps them under the byte bound
+        moduli = (4, 4, 4)
+        cells = list(itertools.product(range(4), repeat=3))
+        rows = itertools.product(cells, repeat=3)
+        tail = [((0, 1, 0), (1, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 0), (1, 0, 0))]
+        structures._masks.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for row in itertools.islice(rows, 8000):
+                unit_coords(moduli, (row, *tail))
+            held = tracemalloc.get_traced_memory()[0] - before
+            charged = structures._masks.held
+            kept = len(structures._masks)
+        finally:
+            tracemalloc.stop()
+            structures._masks.clear()
+        assert held < SCREEN_BYTES
+        assert charged <= SCREEN_BYTES and kept * ENTRY_BYTES <= SCREEN_BYTES
+
+    def test_masks_drop_oldest_first(self):
+        masks = structures._Masks(3 * ENTRY_BYTES + 1)
+        for key in range(4):
+            assert masks.keep(key, 1) == 1
+        assert list(masks) == [1, 2, 3] and masks.held == 3 * ENTRY_BYTES
+        # a mask over the whole limit empties the cache, itself included
+        assert masks.keep("wide", 1 << 8 * masks.limit) == 1 << 8 * masks.limit
+        assert list(masks) == [] and masks.held == 0
+
+    def test_second_census_round_builds_no_mask(self, monkeypatch):
+        # the six groups of the census benchmark, twice in one process: the
+        # second round finds every side it needs in the cache
+        groups = [(2, 2), (2, 4), (2, 6), (3, 3), (3, 9), (4, 4)]
+        structures._masks.clear()
+        first = [rigidity_report(GroupSpec(m)) for m in groups]
+        built = count_built_masks(monkeypatch)
+        assert [rigidity_report(GroupSpec(m)) for m in groups] == first
+        assert built == []
+        structures._masks.clear()
+
+    def test_second_cyclic_pass_builds_no_mask(self, monkeypatch):
+        # Z/1000 has a distinct side for each of its 1000 tables, and on a
+        # rank-1 group a side is its one screen, kept once
+        spec = GroupSpec((1000,))
+        parts = enumeration._tables(spec, SearchConfig())
+        tables = [t for part in parts for t in part]
+        assert len(tables) == 1000
+        structures._masks.clear()
+        first = [unit_coords(spec.moduli, t) for t in tables]
+        assert len(structures._masks) == 1000
+        built = count_built_masks(monkeypatch)
+        assert [unit_coords(spec.moduli, t) for t in tables] == first
+        assert built == []
+        assert sum(u is not None for u in first) == 400  # phi(1000)
+        structures._masks.clear()
+
+    def test_element_cap_before_any_screen(self, monkeypatch):
         spec = GroupSpec((1001, 1000))
         assert spec.order > DEFAULT_ELEMENT_CAP
         zero = (0, 0)
         c = StructureConstants(spec, ((zero, zero), (zero, zero)))
-        misses = structures._screen.cache_info().misses
+        built = count_built_masks(monkeypatch)
         with pytest.raises(CapacityError):
             find_unit(c)
-        assert structures._screen.cache_info().misses == misses
+        assert built == []
+
+
+def count_built_masks(monkeypatch) -> list:
+    """The keys of the masks built from now on: each is kept once built."""
+    built = []
+    keep = structures._masks.keep
+
+    def counted(key, mask):
+        built.append(key)
+        return keep(key, mask)
+
+    monkeypatch.setattr(structures._masks, "keep", counted)
+    return built
 
 
 def componentwise_constants(spec: GroupSpec) -> StructureConstants:
