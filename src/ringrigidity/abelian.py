@@ -48,8 +48,10 @@ def checked(value: int, context: str = "") -> int:
 class Frozen:
     """An immutable value, shown and pickled by its slots and compared, in
     its class only, and hashed by those its ``__init__`` takes, which
-    determine the rest. It replaces ``@dataclass(frozen=True)``, whose
-    import (``inspect`` too) and class builds took a third of the CLI's start."""
+    determine the rest. A slot named ``_...`` is a cache those determine
+    too: it is not shown, and it pickles as None, its unbuilt state. It
+    replaces ``@dataclass(frozen=True)``, whose import (``inspect`` too)
+    and class builds took a third of the CLI's start."""
 
     __slots__ = ()
 
@@ -66,7 +68,9 @@ class Frozen:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f[0] != "_"
+        )
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, *value):
@@ -75,7 +79,7 @@ class Frozen:
     __delattr__ = __setattr__
 
     def __getstate__(self) -> list:
-        return [getattr(self, f) for f in self.__slots__]
+        return [None if f[0] == "_" else getattr(self, f) for f in self.__slots__]
 
     def __setstate__(self, state: list) -> None:
         for f, value in zip(self.__slots__, state):

@@ -414,10 +414,12 @@ def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
     Row x of the ring of scale a must equal ``closed[a*x % n]``, the row
     c*m of c = a*x. The N closed rows are built once, after the N^3
     charge, so an over-budget N allocates nothing; their N^2 list slots
-    over N shared tuples are bounded by budget^(2/3). ``product_row`` is
-    called for every table and every x and its output is never reused: the
-    kernel is what is checked. A mismatch contradicts what the enumeration
-    guarantees, so it raises rather than reports.
+    over N shared tuples are bounded by budget^(2/3). Those tuples are the
+    check's own, not the kernel's, so each comparison reads values the
+    kernel did not make. ``product_row`` is called for every table and
+    every x and its output is never reused: the kernel is what is checked.
+    A mismatch contradicts what the enumeration guarantees, so it raises
+    rather than reports.
     """
     n = spec.moduli[0]
     charge(n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)")

@@ -165,10 +165,17 @@ def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
 
 
 def random_matrix(rng: random.Random, n: int, modulus: int) -> MatrixElement:
-    """A uniform n x n matrix over Z/modulus: entry k is floor(random() *
-    modulus) of draw k, as ``rng.choices(range(modulus), k=n * n)`` draws."""
+    """A uniform n x n matrix over Z/modulus, n * n draws in row-major order.
+
+    Up to modulus 2^53, entry k is floor(random() * modulus) of draw k, as
+    ``rng.choices(range(modulus), k=n * n)`` draws. Above it the 53 bits of
+    ``random()`` cannot reach every residue (at 2^70 + 1 every entry would
+    be a multiple of 2^17), so each entry is ``rng.randrange(modulus)``.
+    """
     if n < 1 or not isinstance(modulus, int) or modulus < 2:
         raise UsageError(f"random matrix needs n >= 1 and modulus >= 2: {n}, {modulus}")
+    if modulus > 2**53:
+        return _reduced(modulus, tuple(rng.randrange(modulus) for _ in range(n * n)))
     draws = map(mul, starmap(rng.random, repeat((), n * n)), repeat(float(modulus)))
     return _reduced(modulus, tuple(map(math.floor, draws)))
 

@@ -14,18 +14,21 @@ triple at a time by ``associative_triple``, which reads a cell only where
 its coefficient is non-zero.
 
 Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
-of the generators. ``product`` applies it to two coordinate tuples and
-``product_row`` to every element in lexicographic order; ``product_column``
-is its mirror, x*y for every x from the right images e_i*y. ``eval`` is the
-element-object edge, taking and returning ``GroupElement``. ``unit_coords``
-screens the coordinate tuples by table side: row j or column j of the table
-says sum_i u_i side[i] = e_j, k linear congruences, one per coordinate
-(``_screen``). Each screen's and each side's solutions depend only on the
-group and the congruences, so each is built once as a bitmask over the
-elements in lexicographic order, a side as the AND of its k screens, and
-kept in one cache bounded by bytes (``_Masks``); a table ANDs at most 2k
-side masks. ``find_unit`` verifies the survivor, raising if it fails, and
-makes it an element.
+of the generators, each coordinate one C-level ``sum(map(mul, ...))``.
+``product`` applies it to two coordinate tuples and ``product_row`` to
+every element in lexicographic order; ``product_column`` is its mirror, x*y
+for every x from the right images e_i*y. On Z/n a row is c*m for the one
+image c, one period of n/gcd(c, n) entries repeated, and its entries are
+the object's n shared (r,) tuples, built by its first row (``_span``).
+``eval`` is the element-object edge, taking and returning ``GroupElement``.
+``unit_coords`` screens the coordinate tuples by table side: row j or
+column j of the table says sum_i u_i side[i] = e_j, k linear congruences,
+one per coordinate (``_screen``). Each screen's and each side's solutions
+depend only on the group and the congruences, so each is built once as a
+bitmask over the elements in lexicographic order, a side as the AND of its
+k screens, and kept in one cache bounded by bytes (``_Masks``); a table
+ANDs at most 2k side masks. ``find_unit`` verifies the survivor, raising if
+it fails, and makes it an element.
 
 Black-box multiplications on windowed integers are handled separately:
 they are opaque binary functions, probed for distributivity inside the
@@ -65,11 +68,12 @@ class StructureConstants(Frozen):
     constructor takes coordinate vectors, or bare residues for rank 1.
     """
 
-    __slots__ = ("group", "table")
+    __slots__ = ("group", "table", "_residues")
 
     def __init__(self, group: GroupSpec, table) -> None:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_residues", None)  # built by the first Z/N row
         self.__post_init__()  # the validation hook
 
     def __post_init__(self) -> None:
@@ -102,16 +106,15 @@ class StructureConstants(Frozen):
         object.__setattr__(self, "table", table)
 
     def _images(self, x, lines) -> list[list[int]]:
-        """sum_i x_i line[i] for each line of entries, as plain unreduced ints."""
-        images = []
-        for line in lines:
-            image = [0] * len(line)
-            for xi, entry in zip(x, line):
-                if xi:
-                    for t, c in enumerate(entry):
-                        image[t] += xi * c
-            images.append(image)
-        return images
+        """sum_i x_i line[i] for each line of entries, as plain unreduced ints.
+
+        Coordinate t of an image is the dot product of x with column t of
+        its line, ``sum(map(mul, x, column))``: one C-level loop per sum.
+        """
+        return [
+            [sum(map(operator.mul, x, column)) for column in zip(*line)]
+            for line in lines
+        ]
 
     def _left_images(self, x) -> list[list[int]]:
         """The kernel: x*e_j = sum_i x_i C[i][j] for every generator e_j."""
@@ -131,11 +134,25 @@ class StructureConstants(Frozen):
     def _span(self, images) -> list[tuple[int, ...]]:
         """sum_j y_j images[j] for every y in lexicographic order, reduced.
 
-        Each coordinate column starts as the first generator's reduced
-        multiples m*images[0] for m < n_0; every later generator adds its
-        multiples, one multiply-add per cell. No element objects are made.
+        On Z/n the row is m*c for the one image c, each entry taken from
+        ``_residues``: one (r,) tuple per residue, built by the first row
+        and shared by every later row of this object, so the object holds n
+        tuples, those of one row, and they go with it. The row repeats with
+        period n/gcd(c, n), so one period is computed and the list repeated.
+        On a larger rank each coordinate column starts as the first
+        generator's reduced multiples m*images[0] for m < n_0; every later
+        generator adds its multiples, one multiply-add per cell. No element
+        objects are made.
         """
         moduli = self.group.moduli
+        if len(moduli) == 1:
+            (n,), ((c,),) = moduli, images
+            residues = self._residues
+            if residues is None:
+                residues = [(r,) for r in range(n)]
+                object.__setattr__(self, "_residues", residues)
+            g = math.gcd(c, n)
+            return [residues[m * c % n] for m in range(n // g)] * g
         (first, n0), *later = zip(images, moduli)
         columns = []
         for t, n in enumerate(moduli):
@@ -148,7 +165,11 @@ class StructureConstants(Frozen):
         return list(zip(*columns))
 
     def product_row(self, x) -> list[tuple[int, ...]]:
-        """x*y for every y in lexicographic order, as reduced coordinate tuples."""
+        """x*y for every y in lexicographic order, as reduced coordinate tuples.
+
+        Each call computes its row and returns a new list; on Z/n its
+        entries are the shared ``_residues`` tuples (see ``_span``).
+        """
         return self._span(self._left_images(x))
 
     def product_column(self, y) -> list[tuple[int, ...]]:

@@ -95,12 +95,32 @@ class TestTrustedKernels:
     @pytest.mark.parametrize("seed", [0, 7, 31])
     def test_draws_follow_choices(self, n, modulus, seed):
         # three draws from one generator are the row-major splits of three
-        # rng.choices calls, so every seeded sample is pinned
+        # rng.choices calls, so every seeded sample is pinned; above 2^53,
+        # where a float draw misses residues, of n * n exact randrange draws
         mine, theirs = random.Random(seed), random.Random(seed)
         for _ in range(3):
-            flat = theirs.choices(range(modulus), k=n * n)
+            if modulus > 2**53:
+                flat = [theirs.randrange(modulus) for _ in range(n * n)]
+            else:
+                flat = theirs.choices(range(modulus), k=n * n)
             rows = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
             assert random_matrix(mine, n, modulus).rows == rows
+
+    def test_draws_above_float_precision_are_uniform(self):
+        # a 53-bit float draw scaled to 2^70 + 1 lands on multiples of 2^17
+        modulus = 2**70 + 1
+        entries = random_matrix(random.Random(7), 30, modulus).entries
+        assert len(entries) == 900
+        assert all(0 <= e < modulus for e in entries)
+        assert any(e % 2**17 for e in entries)
+
+    def test_float_stream_kept_at_two_to_the_53(self):
+        # the largest modulus still drawn as rng.choices draws, where
+        # floor(random() * 2^53) is exact
+        modulus = 2**53
+        mine, theirs = random.Random(3), random.Random(3)
+        flat = tuple(theirs.choices(range(modulus), k=16))
+        assert random_matrix(mine, 4, modulus).entries == flat
 
 
 class TestAddition:

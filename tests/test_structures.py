@@ -1,6 +1,8 @@
 import itertools
 import math
+import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -534,6 +536,58 @@ class TestKernelAgainstIteratedAddition:
         c = cyclic_constants(6, 5)
         assert c.product_row((8,)) == c.product_row((2,))
         assert c.product_row((-1,)) == c.product_row((5,))
+
+
+class TestCyclicRows:
+    """Rows on Z/N from the object's shared residue tuples."""
+
+    @pytest.mark.parametrize("n", [*range(2, 71), 1000])
+    def test_rows_and_columns_are_naive(self, n):
+        # scales and arguments outside [0, N), negative ones included, act
+        # through their residues; gcd(c, N) runs from 1 to N
+        values = sorted({-2 * n - 1, -n, -1, 0, 1, 2, n - 1, n, n + 2, 3 * n - 2, 6})
+        for scale in values:
+            c = cyclic_constants(n, scale)
+            for x in values:
+                naive = [(scale * x * m % n,) for m in range(n)]
+                assert c.product_row((x,)) == naive
+                assert c.product_column((x,)) == naive
+
+    def test_each_call_returns_its_own_list(self):
+        c = cyclic_constants(12, 5)
+        first, second = c.product_row((2,)), c.product_row((2,))
+        assert first is not second and first == second
+        first[3] = (7,)
+        first.append((0,))
+        assert c.product_row((2,)) == second == [(10 * m % 12,) for m in range(12)]
+        column = c.product_column((2,))
+        assert column is not c.product_column((2,)) and column == second
+
+    def test_residues_kept_are_one_row(self):
+        # the object keeps the n tuples of one row, built by the first row,
+        # shared by the later ones and referenced by nothing else
+        n = 100_000
+        c = cyclic_constants(n, 3)
+        assert c._residues is None
+        rows = [c.product_row((x,)) for x in (1, 7, -2, n + 5, 0)]
+        rows.append(c.product_column((11,)))
+        residues = c._residues
+        assert len(residues) == n
+        kept = set(map(id, residues))
+        assert all(id(t) in kept for row in rows for t in row)
+        assert cyclic_constants(n, 3)._residues is None
+        del c, rows
+        assert sys.getrefcount(residues) == 2  # this name and the call's argument
+
+    def test_residues_are_not_part_of_the_value(self):
+        c = cyclic_constants(6, 5)
+        shown = repr(c)
+        c.product_row((1,))
+        assert c._residues is not None
+        assert repr(c) == shown and "_residues" not in shown
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and back._residues is None
+        assert back.product_row((1,)) == c.product_row((1,))
 
 
 class TestWellDefinedness:
