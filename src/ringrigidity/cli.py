@@ -242,10 +242,11 @@ def _run_matrix_demo(args) -> tuple[dict, dict]:
 def _scaled_units_work(modulus: int) -> int:
     """Ring products of scaled-units on Z/N: 5N^2 + 7N at most.
 
-    One reciprocal scan of N^2, N + 1 unit searches of at most 4N each
-    (the base ring's and one per scale: a column screen of N, then 2N + 1
-    to confirm the one candidate that passes) and 3 products per
-    ``scale_ring``.
+    One reciprocal scan of N^2, N + 1 unit searches (the base ring's and
+    one per scale) and 3 products per ``scale_ring``. A unit search
+    screens with cached masks, no products, and confirms its one survivor
+    with one row and one column, 2N products; it is charged 4N, an upper
+    bound kept so that the budget at which the command exits 3 stays put.
     """
     return modulus**2 + (modulus + 1) * 4 * modulus + 3 * modulus
 

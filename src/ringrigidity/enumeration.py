@@ -25,8 +25,8 @@ may use), and the parent takes each part's result in task order as it
 arrives, its tables still pickled while it waits (``_pooled``); else the
 built-in ``map`` runs one part at a time in-process. ``Pool`` imports
 ``multiprocessing`` only then, so a serial run never loads it. Each part
-returns its tables as int tuples, sorted row-major (up to rank 2 the
-search order already is), and the parts come in order of cell 00.
+returns its tables as int tuples in search order, which up to rank 2 is
+row-major order, and the parts come in order of cell 00.
 
 The transpose C'[i][j] = C[j][i] of a table is the table of the opposite
 ring, with the same addition. So the search keeps only the tables that
@@ -36,8 +36,9 @@ each kept table twice, or once when it is symmetric. The transpose fixes
 cell 00, so a table and its transpose lie in one part:
 ``enumerate_multiplications`` sorts each part's tables together with
 their transposes, which is the complete stream in lexicographic order.
-On Z/N every table is symmetric. Every stream's nodes, and its budget,
-are those of the one search.
+It is the only code that orders tables: ``rigidity_report`` counts them
+in any order. On Z/N every table is symmetric. Every stream's nodes, and
+its budget, are those of the one search.
 
 The census charges the budget per node. A solve runs once per node that
 passes, and its work is bounded by the plan's size. The parent charges
@@ -54,9 +55,9 @@ run, so a serial run never runs a part twice. So the verdict is the same
 for every worker count, and a pool does at most about twice the budget's
 work before it.
 
-On Z/N both ``rigidity_report`` and ``classify_cyclic`` read one checked
-stream, ``_cyclic_rings``: each table's ``product_row``s are compared with
-the closed form n*m = scale*n*m, and a mismatch raises.
+The Z/N census is ``classify_cyclic``: it compares each table's
+``product_row``s with the closed form n*m = scale*n*m, raising on a
+mismatch, and ``rigidity_report`` on Z/N summarises its entries.
 
 ``charge`` is the up-front budget gate of the other work: a Z/N census
 charges the N rings x N^2 products of that check, and the CLI the work
@@ -228,7 +229,7 @@ def _solve(moduli: tuple[int, ...], table, reach, depth: int, step) -> list[list
 
 def _part(task: tuple) -> tuple[list[tuple], int]:
     """The tables with one value of cell 00 that are at most their
-    transpose, as sorted int tuples, and the nodes visited.
+    transpose, as int tuples in search order, and the nodes visited.
 
     task = (moduli, value of cell 00, cap). A node is one value tried in
     one cell after cell 00; past ``cap`` nodes the search stops and
@@ -296,7 +297,6 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
 
     if passes(0):
         extend(1, True)
-    found.sort()
     return found, nodes
 
 
@@ -322,10 +322,10 @@ def _pooled(pool, tasks: list) -> Iterator[tuple[list[tuple], int]]:
 
 def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     """Every associative table on the group that is at most its transpose,
-    exactly once, as coordinate tuples: one sorted list per value of cell 00.
+    exactly once, as coordinate tuples: one list per value of cell 00.
 
-    The parts come in order of cell 00, so the tables come in lexicographic
-    order of the flattened constant table. Every node of the search is
+    The parts come in order of cell 00, each in search order, which is
+    lexicographic only up to rank 2. Every node of the search is
     charged against the budget, and the search raises once the count
     exceeds it. The nodes of cell 00 are charged from its set size alone,
     before any candidate set is built, and a plan whose sets hold more
@@ -408,8 +408,18 @@ class RigidityReport(NamedTuple):
         return True if self.group.is_cyclic else None
 
 
-def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
-    """The tables of Z/N, each checked against scale*n*m, scale = mul(1, 1).
+class CyclicClassification(NamedTuple):
+    """One multiplication on Z/N: its scale mul(1, 1) and its unit, if any."""
+
+    scale: int
+    unit: Optional[int]
+
+
+def classify_cyclic(
+    modulus: int, config: SearchConfig = SearchConfig()
+) -> list[CyclicClassification]:
+    """Classify every multiplication on Z/modulus by its scale mul(1, 1), in
+    scale order: the Z/N census, each ring checked against scale*n*m.
 
     Row x of the ring of scale a must equal ``closed[a*x % n]``, the row
     c*m of c = a*x. The N closed rows are built once, after the N^3
@@ -421,10 +431,12 @@ def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
     A mismatch contradicts what the enumeration guarantees, so it raises
     rather than reports.
     """
-    n = spec.moduli[0]
+    spec = GroupSpec((modulus,))
+    n = modulus
     charge(n**3, config.budget, f"scaled-form products on Z/{n} ({n} rings x {n}^2)")
     residues = [(m,) for m in range(n)]
     closed = [[residues[c * m % n] for m in range(n)] for c in range(n)]
+    entries = []
     for (table,) in _tables(spec, config):  # on Z/N a part is one table
         scale = table[0][0][0]
         mult = StructureConstants(spec, table)
@@ -434,7 +446,9 @@ def _cyclic_rings(spec: GroupSpec, config: SearchConfig) -> Iterator[tuple]:
                     f"multiplication on Z/{n} is not the scaled form of its "
                     f"own mul(1,1) = {scale}"
                 )
-        yield table
+        (unit,) = unit_coords(spec.moduli, table) or (None,)
+        entries.append(CyclicClassification(scale, unit))
+    return entries
 
 
 def rigidity_report(
@@ -447,60 +461,39 @@ def rigidity_report(
     symmetric; only the searched tables meet the unit screen. The examples
     are the two smallest unital tables among those and their transposes,
     so the first two of the complete stream. On Z/N, where every table is
-    symmetric, it reads the checked stream, so a mismatch raises.
+    symmetric, it summarises ``classify_cyclic``, so a mismatch raises: the
+    unital scales in scale order, and the rings of the first two.
     """
-    total = 0
-    commutative = 0
-    unital = 0
-    scales: list[int] = []
-    smallest: list[tuple] = []
+    scales = None
     if spec.is_cyclic:
-        stream = _cyclic_rings(spec, config)
+        entries = classify_cyclic(spec.moduli[0], config)
+        scales = tuple(entry.scale for entry in entries if entry.unit is not None)
+        total = commutative = len(entries)
+        unital = len(scales)
+        smallest = [(((scale,),),) for scale in scales[:2]]  # C[0][0] = (scale,)
     else:
-        stream = itertools.chain.from_iterable(_tables(spec, config))
-    for table in stream:
-        transpose = tuple(zip(*table))
-        symmetric = table == transpose  # by bilinearity, commutativity
-        weight = 1 if symmetric else 2
-        total += weight
-        commutative += symmetric
-        if unit_coords(spec.moduli, table) is not None:
-            unital += weight
-            if spec.is_cyclic:
-                scales.append(table[0][0][0])
-            smallest = sorted({*smallest, table, transpose})[:2]
+        total = commutative = unital = 0
+        smallest = []
+        for table in itertools.chain.from_iterable(_tables(spec, config)):
+            transpose = tuple(zip(*table))
+            symmetric = table == transpose  # by bilinearity, commutativity
+            weight = 1 if symmetric else 2
+            total += weight
+            commutative += symmetric
+            if unit_coords(spec.moduli, table) is not None:
+                unital += weight
+                smallest = sorted({*smallest, table, transpose})[:2]
     return RigidityReport(
         group=spec,
         total=total,
         commutative_count=commutative,
         unital_count=unital,
-        unital_scales=tuple(sorted(scales)) if spec.is_cyclic else None,
+        unital_scales=scales,
         unital_examples=tuple(
             RingStructure(StructureConstants(spec, t)) for t in smallest
         ),
         search_space=search_space_size(spec),
     )
-
-
-class CyclicClassification(NamedTuple):
-    """One multiplication on Z/N: its scale mul(1, 1) and its unit, if any."""
-
-    scale: int
-    unit: Optional[int]
-
-
-def classify_cyclic(
-    modulus: int, config: SearchConfig = SearchConfig()
-) -> list[CyclicClassification]:
-    """Classify every multiplication on Z/modulus by its scale mul(1, 1).
-
-    Every ring is checked against scale*n*m first, and a mismatch raises.
-    """
-    entries = []
-    for table in _cyclic_rings(GroupSpec((modulus,)), config):
-        (unit,) = unit_coords((modulus,), table) or (None,)
-        entries.append(CyclicClassification(table[0][0][0], unit))
-    return entries
 
 
 FullTable = tuple[tuple[int, ...], ...]

@@ -139,10 +139,8 @@ class StructureConstants(Frozen):
         and shared by every later row of this object, so the object holds n
         tuples, those of one row, and they go with it. The row repeats with
         period n/gcd(c, n), so one period is computed and the list repeated.
-        On a larger rank each coordinate column starts as the first
-        generator's reduced multiples m*images[0] for m < n_0; every later
-        generator adds its multiples, one multiply-add per cell. No element
-        objects are made.
+        On a larger rank coordinate t is the column ``_sums`` of the images'
+        t-th coordinates. No element objects are made.
         """
         moduli = self.group.moduli
         if len(moduli) == 1:
@@ -153,15 +151,7 @@ class StructureConstants(Frozen):
                 object.__setattr__(self, "_residues", residues)
             g = math.gcd(c, n)
             return [residues[m * c % n] for m in range(n // g)] * g
-        (first, n0), *later = zip(images, moduli)
-        columns = []
-        for t, n in enumerate(moduli):
-            c = first[t]
-            column = [m * c % n for m in range(n0)]
-            for image, nj in later:
-                c = image[t]
-                column = [(a + m * c) % n for a in column for m in range(nj)]
-            columns.append(column)
+        columns = [_sums(moduli, n, c) for c, n in zip(zip(*images), moduli)]
         return list(zip(*columns))
 
     def product_row(self, x) -> list[tuple[int, ...]]:
@@ -175,6 +165,15 @@ class StructureConstants(Frozen):
     def product_column(self, y) -> list[tuple[int, ...]]:
         """x*y for every x in lexicographic order, from the images e_i*y."""
         return self._span(self._images(y, self.table))
+
+
+def _sums(moduli: tuple[int, ...], n: int, coefficients) -> list[int]:
+    """sum_i u_i coefficients[i] mod n for every u in lexicographic order,
+    built one generator at a time, one multiply-add per entry."""
+    sums = [0]
+    for c, m in zip(coefficients, moduli):
+        sums = [(s + x * c) % n for s in sums for x in range(m)]
+    return sums
 
 
 def cyclic_constants(modulus: int, scale: int) -> StructureConstants:
@@ -275,13 +274,10 @@ def _screen(
 ) -> int:
     """The bitmask of the u with sum_i u_i coefficients[i] = want (mod n_t).
 
-    Bit p stands for the p-th coordinate tuple in lexicographic order. The
-    sums are built one generator at a time, as ``_span`` builds its columns.
+    Bit p stands for the p-th coordinate tuple in lexicographic order, the
+    order of ``_sums``, which ``_span`` builds its columns from too.
     """
-    n = moduli[t]
-    sums = [0]
-    for c, m in zip(coefficients, moduli):
-        sums = [(s + x * c) % n for s in sums for x in range(m)]
+    sums = _sums(moduli, moduli[t], coefficients)
     return int(bytes([s == want for s in reversed(sums)]).translate(_BITS), 2)
 
 

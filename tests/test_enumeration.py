@@ -284,7 +284,9 @@ class TestCountPathAgainstObjectPath:
     """``rigidity_report`` counts on tables; the public stream builds rings."""
 
     @pytest.mark.parametrize(
-        "moduli", SMALL_GROUPS + [(3, 9)], ids=lambda m: ",".join(map(str, m))
+        "moduli",
+        SMALL_GROUPS + [(3, 9), (48,), (64,)],
+        ids=lambda m: ",".join(map(str, m)),
     )
     def test_report_matches_ring_flags(self, moduli):
         # the report searches one table of each mirror pair; the public
@@ -581,21 +583,51 @@ class TestCanonicalSearch:
         "moduli", SMALL_GROUPS, ids=lambda m: ",".join(map(str, m))
     )
     def test_each_mirror_pair_searched_once(self, moduli, workers):
-        # a part holds the tables of one value of cell 00, the parts come
-        # sorted, and they never hold a table together with its distinct
-        # transpose; the library stream is the parts with their transposes
+        # a part holds the tables of one value of cell 00, in search order,
+        # the parts come in order of cell 00, and they never hold a table
+        # twice or together with its distinct transpose; the library stream
+        # is the parts with their transposes, sorted
         spec = GroupSpec(moduli)
         config = SearchConfig(workers=workers)
         parts = list(enumeration._tables(spec, config))
         assert all(len({t[0][0] for t in part}) == 1 for part in parts)
+        cells = [part[0][0][0] for part in parts if part]
+        assert cells == sorted(set(cells))
         canonical = [t for part in parts for t in part]
-        assert canonical == sorted(canonical)
         emitted = set(canonical)
+        assert len(emitted) == len(canonical)
         assert not any(transpose(t) != t and transpose(t) in emitted for t in canonical)
         complete = coords_tables(spec, config)
-        assert set(complete) == emitted | set(map(transpose, canonical))
+        assert complete == sorted(emitted | set(map(transpose, canonical)))
         if len(moduli) > 1 and math.gcd(*moduli[:2]) > 1:
             assert len(canonical) < len(complete)  # the filter did cut
+
+    @pytest.mark.parametrize(
+        "moduli", [(2, 2, 2), (2, 2, 4)], ids=lambda m: ",".join(map(str, m))
+    )
+    def test_report_independent_of_part_order(self, monkeypatch, serial_pool, moduli):
+        # only the library stream orders tables: with every part reversed,
+        # in-process and through a stand-in pool of two, the report keeps
+        # its counts and its examples
+        spec = GroupSpec(moduli)
+        expected = rigidity_report(spec)
+        part = enumeration._part
+        reversed_parts = []
+
+        def reversed_part(task):
+            tables, nodes = part(task)
+            reversed_parts.append(task[1])
+            return tables[::-1], nodes
+
+        monkeypatch.setattr(enumeration, "_part", reversed_part)
+        monkeypatch.setattr(
+            enumeration.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        for workers in (1, 2):
+            assert rigidity_report(spec, SearchConfig(workers=workers)) == expected
+        parts = enumeration._set_size(moduli, moduli[0], moduli[0])
+        assert len(reversed_parts) == 2 * parts
+        assert serial_pool.sizes == [2]
 
     @pytest.mark.parametrize(
         "moduli", [(2, 2, 2), (2, 2, 4), (2, 2, 3)], ids=lambda m: ",".join(map(str, m))
@@ -697,7 +729,8 @@ class TestDeterminismAndParallelism:
         assert pool.mapped == [4]
 
     def test_rank_three_order_matches_serial(self):
-        # the growing-square search sorts each part, so the stream stays sorted
+        # the library stream sorts each part with its transposes, so it
+        # stays sorted although the rank-3 search order is not
         spec = GroupSpec((2, 2, 2))
         serial = coords_tables(spec)
         assert len(serial) == 1688
