@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import random
 from typing import Iterator
 
 from .errors import CapacityError, IntegerOverflowError, UsageError
@@ -252,6 +251,8 @@ class IntegerWindow(Frozen):
         ``randrange(2b + 1) - b`` consumes the generator exactly as
         ``randint(-b, b)`` does, without its argument handling.
         """
+        import random  # so that a census never loads it
+
         draw, b, h = random.Random(seed).randrange, self.bound, self.bound // 2
         width, half_width = 2 * b + 1, 2 * h + 1
         for _ in range(count):

@@ -10,6 +10,10 @@ Exit codes: 0 ok, 2 usage or validation, 3 capacity, 4 arithmetic
 overflow, 5 failed internal invariant (a bug, never user error). Every
 failure prints the same envelope with status "error" and the reason in
 payload.message. All numbers in the payload are exact integers.
+
+Every call is a fresh process, so the module imports only what the census
+commands run: the ``verify-scaled``, ``scaled-units`` and ``matrix-demo``
+handlers import ``scaled`` or ``matrices`` when they run.
 """
 
 from __future__ import annotations
@@ -37,29 +41,6 @@ from .errors import (
     IntegerOverflowError,
     InvariantViolation,
     UsageError,
-)
-from .matrices import (
-    AXIOM_TRIPLES,
-    HADAMARD,
-    STANDARD,
-    UNIT_CHECKS,
-    MatrixElement,
-    mat_mul_standard,
-    noncommutativity_witness,
-    sample_axioms,
-    unit_matrix,
-)
-from .scaled import (
-    IDENTITY_SAMPLES,
-    ScaledMult,
-    find_pm1_violation,
-    find_unit_windowed,
-    pm1_scales,
-    require_pm1_rule,
-    scaled_identity_suite,
-    scaled_unit_sweep,
-    unit_of_scaled,
-    usual_cyclic_ring,
 )
 from .structures import cyclic_constants
 
@@ -162,18 +143,21 @@ def _verify_scaled_work(samples: int, bound: int) -> int:
 
 
 def _run_verify_scaled(args) -> tuple[dict, dict]:
+    from . import scaled
+
     a = args.a
+    samples = scaled.IDENTITY_SAMPLES if args.samples is None else args.samples
     window = IntegerWindow(args.bound)  # invalid input is a usage error first
-    if args.samples < 0:
-        raise UsageError(f"samples must be >= 0, got {args.samples}")
+    if samples < 0:
+        raise UsageError(f"samples must be >= 0, got {samples}")
     charge(
-        _verify_scaled_work(args.samples, args.bound), _budget(),
+        _verify_scaled_work(samples, args.bound), _budget(),
         f"multiplications in verify-scaled at bound={args.bound}, "
-        f"samples={args.samples}",
+        f"samples={samples}",
     )
-    suite = scaled_identity_suite(a, args.bound, args.samples)
-    scanned = find_unit_windowed(ScaledMult(a), window)
-    closed = unit_of_scaled(a)
+    suite = scaled.scaled_identity_suite(a, args.bound, samples)
+    scanned = scaled.find_unit_windowed(scaled.ScaledMult(a), window)
+    closed = scaled.unit_of_scaled(a)
     note = {1: "usual ring", -1: "alternate ring"}.get(a)
     payload = {
         "scale": a,
@@ -187,7 +171,7 @@ def _run_verify_scaled(args) -> tuple[dict, dict]:
         "note": note,
         "passed": suite.ok and scanned == closed,
     }
-    params = {"a": a, "bound": args.bound, "samples": args.samples}
+    params = {"a": a, "bound": args.bound, "samples": samples}
     return params, payload
 
 
@@ -200,30 +184,33 @@ def _matrix_demo_work(n: int) -> int:
     the witness twice and multiplies it both ways (6 products). The count
     is exact for n >= 2; at n = 1 there is no witness.
     """
-    per_mode = 9 * AXIOM_TRIPLES + 2 * UNIT_CHECKS
+    from . import matrices
+
+    per_mode = 9 * matrices.AXIOM_TRIPLES + 2 * matrices.UNIT_CHECKS
     return (per_mode + 6) * n**3 + per_mode * n**2
 
 
 def _run_matrix_demo(args) -> tuple[dict, dict]:
+    from . import matrices
+
     n, modulus = args.n, args.mod
-    MatrixElement(modulus, ((0,),))  # an invalid modulus is a usage error first
+    # an invalid modulus is a usage error first
+    matrices.MatrixElement(modulus, ((0,),))
     charge(
         _matrix_demo_work(n), _budget(),
         f"scalar multiply-adds in matrix-demo at n={n}",
     )
-    units = {
-        STANDARD: unit_matrix(STANDARD, n, modulus).to_lists(),
-        HADAMARD: unit_matrix(HADAMARD, n, modulus).to_lists(),
-    }
-    witness = noncommutativity_witness(n, modulus)
+    modes = (matrices.STANDARD, matrices.HADAMARD)
+    units = {mode: matrices.unit_matrix(mode, n, modulus).to_lists() for mode in modes}
+    witness = matrices.noncommutativity_witness(n, modulus)
     witness_json = None
     if witness is not None:
         a, b = witness
         witness_json = {
             "a": a.to_lists(),
             "b": b.to_lists(),
-            "ab": mat_mul_standard(a, b).to_lists(),
-            "ba": mat_mul_standard(b, a).to_lists(),
+            "ab": matrices.mat_mul_standard(a, b).to_lists(),
+            "ba": matrices.mat_mul_standard(b, a).to_lists(),
         }
     payload = {
         "n": n,
@@ -231,8 +218,7 @@ def _run_matrix_demo(args) -> tuple[dict, dict]:
         "units": units,
         "noncommutativity_witness": witness_json,
         "axiom_checks": {
-            STANDARD: sample_axioms(STANDARD, n, modulus),
-            HADAMARD: sample_axioms(HADAMARD, n, modulus),
+            mode: matrices.sample_axioms(mode, n, modulus) for mode in modes
         },
         "note": "modes coincide at n=1" if n == 1 else None,
     }
@@ -252,18 +238,20 @@ def _scaled_units_work(modulus: int) -> int:
 
 
 def _run_scaled_units(args) -> tuple[dict, dict]:
+    from . import scaled
+
     modulus = args.modulus
     GroupSpec((modulus,))  # an invalid modulus is a usage error first
     charge(
         _scaled_units_work(modulus), _budget(),
         f"ring products in scaled-units on Z/{modulus}",
     )
-    ring = usual_cyclic_ring(modulus)
-    violation = find_pm1_violation(ring)
-    entries = scaled_unit_sweep(ring)
+    ring = scaled.usual_cyclic_ring(modulus)
+    violation = scaled.find_pm1_violation(ring)
+    entries = scaled.scaled_unit_sweep(ring)
     if violation is None:
-        require_pm1_rule(ring, entries)
-    pm_one_scales = sorted(c for (c,) in pm1_scales(ring))
+        scaled.require_pm1_rule(ring, entries)
+    pm_one_scales = sorted(c for (c,) in scaled.pm1_scales(ring))
     rows, unital_scales = _scale_rows(modulus, (
         (e.scale.coords[0], None if e.unit is None else e.unit.coords[0])
         for e in entries
@@ -327,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-scaled", help="ring identities and unit of a*n*m")
     p.add_argument("--a", type=int, required=True, help="the scale factor")
     p.add_argument("--bound", type=int, required=True, help="window half-width")
-    p.add_argument("--samples", type=int, default=IDENTITY_SAMPLES)
+    p.add_argument("--samples", type=int)  # None: scaled.IDENTITY_SAMPLES
     common(p)
 
     p = sub.add_parser("matrix-demo", help="two ring structures on one matrix group")

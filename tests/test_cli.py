@@ -460,7 +460,6 @@ class TestWorkCharges:
             return original(ring)
 
         monkeypatch.setattr(scaled, "find_pm1_violation", counted)
-        monkeypatch.setattr(cli, "find_pm1_violation", counted)
         code, doc = run_json("scaled-units", "--modulus", str(modulus))
         assert code == 0
         assert doc["payload"]["pm1_only_units"]
@@ -509,7 +508,6 @@ class TestWorkCharges:
             return counted
 
         monkeypatch.setattr(scaled, "ScaledMult", counting)
-        monkeypatch.setattr(cli, "ScaledMult", counting)
         counts = []
         for samples in (0, 7):
             count[0] = 0
@@ -535,7 +533,6 @@ class TestWorkCharges:
 
         standard = counting(matrices.mat_mul_standard, n**3)
         monkeypatch.setattr(matrices, "mat_mul_standard", standard)
-        monkeypatch.setattr(cli, "mat_mul_standard", standard)
         monkeypatch.setattr(
             matrices, "mat_mul_hadamard", counting(matrices.mat_mul_hadamard, n**2)
         )
@@ -736,15 +733,42 @@ class TestTextMode:
 
 
 # run in a fresh interpreter with the CLI arguments: prints which of the
-# two heavy modules are loaded, then the CLI's output
+# watched modules are loaded, then the CLI's output
 LEAN_PROBE = """
 import io, json, sys
 import ringrigidity.cli
 out = io.StringIO()
 ringrigidity.cli.run(sys.argv[1:], stdout=out)
-print(json.dumps(sorted({"dataclasses", "multiprocessing"} & set(sys.modules))))
+watched = {"dataclasses", "multiprocessing", "random"}
+watched |= {"ringrigidity.scaled", "ringrigidity.matrices"}
+print(json.dumps(sorted(watched & set(sys.modules))))
 sys.stdout.write(out.getvalue())
 """
+
+
+def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """``python -S`` with ``args``, importing the package this suite imported.
+
+    A fresh interpreter, since pytest itself imports the watched modules;
+    -S keeps site's own imports out of the modules the child reports.
+    """
+    src = str(Path(ringrigidity.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+# a pool starts only with two workers and two CPUs to run them
+if hasattr(os, "sched_getaffinity"):
+    CPUS = len(os.sched_getaffinity(0))
+else:
+    CPUS = os.cpu_count() or 1
 
 
 class TestEntryPoint:
@@ -764,29 +788,42 @@ class TestEntryPoint:
         doc = json.loads(proc.stdout)
         assert doc["payload"]["unital_scales"] == [1]
 
-    @pytest.mark.parametrize("group, workers", [("2,2", 1), ("3,3", 2)])
-    def test_lean_imports(self, group, workers):
-        # a fresh interpreter, since pytest itself imports dataclasses; -S
-        # keeps site's own imports out of the modules the child reports
-        src = str(Path(ringrigidity.__file__).parent.parent)
-        argv = ["enumerate", "--group", group, "--no-timing"]
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", LEAN_PROBE, *argv, "--workers", str(workers)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded, output = proc.stdout.split("\n", 1)
-        # a pool starts only with two workers and two CPUs to run them
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        pooled = workers > 1 and cpus > 1
-        assert json.loads(loaded) == (["multiprocessing"] if pooled else [])
-        assert output == run_cli(*argv, "--workers", "1")[1]
+    @pytest.mark.parametrize(
+        "argv, workers, loaded",
+        [
+            # the census commands load neither scaled nor matrices, nor random
+            (["enumerate", "--group", "2,2"], ["--workers", "1"], []),
+            # a pool loads multiprocessing, whose own imports load random
+            (
+                ["enumerate", "--group", "3,3"],
+                ["--workers", "2"],
+                ["multiprocessing", "random"] if CPUS > 1 else [],
+            ),
+            (["classify", "--modulus", "6"], [], []),
+            # the other commands load their own module, and random where they draw
+            (
+                ["verify-scaled", "--a", "2", "--bound", "5"],
+                [],
+                ["random", "ringrigidity.scaled"],
+            ),
+            (["scaled-units", "--modulus", "6"], [], ["ringrigidity.scaled"]),
+            (
+                ["matrix-demo", "--n", "2", "--mod", "5"],
+                [],
+                ["random", "ringrigidity.matrices"],
+            ),
+        ],
+        ids=[
+            "enumerate-1", "enumerate-2", "classify", "verify-scaled",
+            "scaled-units", "matrix-demo",
+        ],
+    )
+    def test_lean_imports(self, argv, workers, loaded):
+        argv = [*argv, "--no-timing"]
+        proc = fresh_interpreter("-c", LEAN_PROBE, *argv, *workers)
+        reported, output = proc.stdout.split("\n", 1)
+        assert json.loads(reported) == loaded
+        assert output == run_cli(*argv)[1]  # in this process, on one worker
 
     def test_no_generated_code(self):
         # no module runs source it builds: the exec, eval and compile
@@ -821,3 +858,85 @@ class TestEntryPoint:
         _, doc = run_json("classify", "--modulus", "2")
         assert isinstance(doc["elapsed_ms"], int)
         assert doc["elapsed_ms"] >= 0
+
+
+# every public name of the package, by the module that defines it
+PUBLIC_NAMES = {
+    "abelian": (
+        "DEFAULT_ELEMENT_CAP", "INT_CAPACITY", "GroupElement", "GroupSpec",
+        "IntegerWindow", "add", "all_elements", "checked", "element_order",
+        "scalar_mul",
+    ),
+    "enumeration": (
+        "CyclicClassification", "RigidityReport", "SearchConfig",
+        "classify_cyclic", "enumerate_multiplications", "expand_to_full_table",
+        "full_table_oracle", "rigidity_report", "search_space_size",
+    ),
+    "errors": (
+        "CapacityError", "IntegerOverflowError", "InvariantViolation", "UsageError",
+    ),
+    "matrices": (
+        "HADAMARD", "STANDARD", "MatrixElement", "all_matrices", "mat_add",
+        "mat_mul_hadamard", "mat_mul_standard", "noncommutativity_witness",
+        "unit_matrix",
+    ),
+    "scaled": (
+        "ScaledMult", "check_scaled_unitality", "extract_scale",
+        "find_pm1_violation", "find_unit_windowed", "has_pm1_unit_property",
+        "scale_ring", "scaled_unit_sweep", "unit_of_scaled", "usual_cyclic_ring",
+        "verify_scaled_form",
+    ),
+    "structures": (
+        "RingStructure", "StructureConstants", "check_associativity",
+        "check_commutativity", "check_distributivity_blackbox",
+        "cyclic_constants", "find_unit",
+    ),
+}
+
+
+class TestPackageNames:
+    def test_fifty_names(self):
+        assert sum(map(len, PUBLIC_NAMES.values())) == 50
+
+    @pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+    def test_each_name_is_its_modules(self, module):
+        source = importlib.import_module(f"ringrigidity.{module}")
+        for name in PUBLIC_NAMES[module]:
+            assert getattr(ringrigidity, name) is getattr(source, name), name
+
+    def test_from_import(self):
+        from ringrigidity import MatrixElement, ScaledMult
+
+        assert ScaledMult is scaled.ScaledMult
+        assert MatrixElement is matrices.MatrixElement
+
+    def test_unknown_name(self):
+        assert not hasattr(ringrigidity, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            ringrigidity.no_such_name
+
+    def test_dir_lists_every_name(self):
+        listed = set(dir(ringrigidity))
+        for names in PUBLIC_NAMES.values():
+            assert listed >= set(names)
+
+    def test_lookup_reads_the_submodule(self, monkeypatch):
+        # no copy in the package: a rebinding in the submodule is seen
+        monkeypatch.setattr(scaled, "scale_ring", len)
+        monkeypatch.setattr(matrices, "unit_matrix", len)
+        assert ringrigidity.scale_ring is len
+        assert ringrigidity.unit_matrix is len
+
+    def test_import_loads_neither_scaled_nor_matrices(self):
+        probe = (
+            "import json, sys, ringrigidity; "
+            "print(json.dumps(sorted(m for m in sys.modules if 'ringrigidity' in m)))"
+        )
+        proc = fresh_interpreter("-c", probe)
+        assert json.loads(proc.stdout) == [
+            "ringrigidity",
+            "ringrigidity.abelian",
+            "ringrigidity.enumeration",
+            "ringrigidity.errors",
+            "ringrigidity.structures",
+        ]
