@@ -499,16 +499,21 @@ def rigidity_report(
 FullTable = tuple[tuple[int, ...], ...]
 
 
-def _table_distributive(table: FullTable, modulus: int) -> bool:
+@functools.lru_cache(maxsize=FULL_TABLE_CAP)
+def _triples(modulus: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The N^3 index tuples (a, b, c, (b + c) mod N), a outermost."""
     rng = range(modulus)
-    for a in rng:
+    return tuple((a, b, c, (b + c) % modulus) for a in rng for b in rng for c in rng)
+
+
+def _table_distributive(table: FullTable, modulus: int) -> bool:
+    """Row a, then column a, distributes over b + c, for every triple in turn."""
+    for a, b, c, s in _triples(modulus):
         row = table[a]
-        for b in rng:
-            for c in rng:
-                if row[(b + c) % modulus] != (row[b] + row[c]) % modulus:
-                    return False
-                if table[(b + c) % modulus][a] != (table[b][a] + table[c][a]) % modulus:
-                    return False
+        if row[s] != (row[b] + row[c]) % modulus:
+            return False
+        if table[s][a] != (table[b][a] + table[c][a]) % modulus:
+            return False
     return True
 
 
@@ -529,9 +534,12 @@ def full_table_oracle(modulus: int) -> frozenset[FullTable]:
     raw tuples, distributivity and associativity are checked directly over
     all triples. The tables are walked as N-tuples of the N^N possible
     rows, so no table is sliced out of a flat tuple, and every one of the
-    N^(N^2) tables is still decided. The survivor set is the ground truth
+    N^(N^2) tables is still decided, distributivity in one flat walk over
+    the index tuples of ``_triples``. The survivor set is the ground truth
     the enumeration is compared against.
     """
+    if not isinstance(modulus, int) or modulus < 2:
+        raise UsageError(f"full-table oracle modulus must be >= 2, got {modulus!r}")
     if modulus > FULL_TABLE_CAP:
         raise CapacityError(
             f"full-table oracle capped at carrier size {FULL_TABLE_CAP}, got "
@@ -547,6 +555,8 @@ def full_table_oracle(modulus: int) -> frozenset[FullTable]:
 
 def expand_to_full_table(constants: StructureConstants) -> FullTable:
     """Expand a cyclic structure-constant table to its full Cayley table."""
+    if not constants.group.is_cyclic:
+        raise UsageError(f"only a cyclic table expands, not one on {constants.group}")
     return tuple(
         tuple(c for (c,) in constants.product_row((n,)))
         for n in range(constants.group.moduli[0])

@@ -14,9 +14,10 @@ triple at a time by ``associative_triple``, which reads a cell only where
 its coefficient is non-zero.
 
 Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
-of the generators, each coordinate one C-level ``sum(map(mul, ...))``.
-``product`` applies it to two coordinate tuples and ``product_row`` to
-every element in lexicographic order; ``product_column`` is its mirror, x*y
+of the generators, each coordinate one C-level ``sum(map(mul, ...))``; on
+Z/n the one image is the single product x_0 * C[0][0]_0. ``product``
+applies it to two coordinate tuples and ``product_row`` to every element in
+lexicographic order; ``product_column`` is its mirror, x*y
 for every x from the right images e_i*y. On Z/n a row is c*m for the one
 image c, one period of n/gcd(c, n) entries repeated, and its entries are
 the object's n shared (r,) tuples, built by its first row (``_span``).
@@ -117,7 +118,10 @@ class StructureConstants(Frozen):
         ]
 
     def _left_images(self, x) -> list[list[int]]:
-        """The kernel: x*e_j = sum_i x_i C[i][j] for every generator e_j."""
+        """The kernel: x*e_j = sum_i x_i C[i][j] for every generator e_j, on
+        Z/n the single product x_0 * C[0][0]_0."""
+        if len(self.group.moduli) == 1:
+            return [[x[0] * self.table[0][0][0]]]
         return self._images(x, zip(*self.table))
 
     def product(self, x, y) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from ringrigidity import (
     RingStructure,
     SearchConfig,
     StructureConstants,
+    UsageError,
     check_associativity,
     classify_cyclic,
     cyclic_constants,
@@ -174,8 +175,6 @@ class TestUnitalityCensus:
         assert report.unital_count == 1
 
     def test_degenerate_modulus_rejected(self):
-        from ringrigidity import UsageError
-
         with pytest.raises(UsageError):
             rigidity_report(GroupSpec((1,)))
 
@@ -222,9 +221,43 @@ class TestOracleEquivalence:
         full_table_oracle(modulus)
         assert len(decided) == tables
 
+    @pytest.mark.parametrize("modulus", [2, 3])
+    def test_flat_walk_matches_nested_loops(self, modulus):
+        def nested(table, n):  # the three nested loops the flat walk replaced
+            rng = range(n)
+            for a in rng:
+                row = table[a]
+                for b in rng:
+                    for c in rng:
+                        if row[(b + c) % n] != (row[b] + row[c]) % n:
+                            return False
+                        if table[(b + c) % n][a] != (table[b][a] + table[c][a]) % n:
+                            return False
+            return True
+
+        rows = list(itertools.product(range(modulus), repeat=modulus))
+        for table in itertools.product(rows, repeat=modulus):
+            assert enumeration._table_distributive(table, modulus) == nested(
+                table, modulus
+            )
+
     def test_cap_enforced(self):
         with pytest.raises(CapacityError):
             full_table_oracle(4)
+
+    @pytest.mark.parametrize(
+        "call,argument",
+        [
+            *((full_table_oracle, m) for m in (0, 1, True, False, -2, 2.0, "2")),
+            (
+                expand_to_full_table,
+                StructureConstants(GroupSpec((2, 2)), [[(0, 0)] * 2] * 2),
+            ),
+        ],
+    )
+    def test_bad_input_refused(self, call, argument):
+        with pytest.raises(UsageError):
+            call(argument)
 
 
 class TestObjectPathOracle:

@@ -546,12 +546,18 @@ class TestCyclicRows:
         # scales and arguments outside [0, N), negative ones included, act
         # through their residues; gcd(c, N) runs from 1 to N
         values = sorted({-2 * n - 1, -n, -1, 0, 1, 2, n - 1, n, n + 2, 3 * n - 2, 6})
+        spec = GroupSpec((n,))
         for scale in values:
             c = cyclic_constants(n, scale)
             for x in values:
                 naive = [(scale * x * m % n,) for m in range(n)]
                 assert c.product_row((x,)) == naive
                 assert c.product_column((x,)) == naive
+                # the single products go through the same rank-1 image
+                for y in values:
+                    expected = (scale * x * y % n,)
+                    assert c.product((x,), (y,)) == expected
+                    assert c.eval(spec.element(x), spec.element(y)).coords == expected
 
     def test_each_call_returns_its_own_list(self):
         c = cyclic_constants(12, 5)
