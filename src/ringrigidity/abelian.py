@@ -248,12 +248,20 @@ class IntegerWindow(Frozen):
     def random_triples(self, count: int, seed: int) -> Iterator[tuple[int, int, int]]:
         """Seeded (n, m, k): n in the window, m and k in its half, so m + k too.
 
-        ``randrange(2b + 1) - b`` consumes the generator exactly as
-        ``randint(-b, b)`` does, without its argument handling.
+        Each draw is ``randint(-b, b)``'s own: ``getrandbits`` of the bit
+        length of 2b + 1, redrawn while it is not below 2b + 1, minus b.
         """
         import random  # so that a census never loads it
 
-        draw, b, h = random.Random(seed).randrange, self.bound, self.bound // 2
-        width, half_width = 2 * b + 1, 2 * h + 1
+        bits, b, h = random.Random(seed).getrandbits, self.bound, self.bound // 2
+        width, half = 2 * b + 1, 2 * h + 1
+        width_bits, half_bits = width.bit_length(), half.bit_length()
         for _ in range(count):
-            yield draw(width) - b, draw(half_width) - h, draw(half_width) - h
+            n, m, k = width, half, half
+            while n >= width:
+                n = bits(width_bits)
+            while m >= half:
+                m = bits(half_bits)
+            while k >= half:
+                k = bits(half_bits)
+            yield n - b, m - h, k - h

@@ -7,8 +7,11 @@ n >= 2 with the diagonal identity matrix as unit, and the entrywise
 (Hadamard) product, commutative with the all-ones matrix as unit. The base
 ring is Z/m rather than the reals so every claim here can be checked
 exactly, and exhaustively on tiny carriers. Only ``MatrixElement(...)``
-validates; the kernels, ``map`` chains over its flat row-major entries or
-packed ints for the standard product, build results unchecked (``_reduced``).
+validates. The kernels ``_standard``, ``_hadamard`` and ``_plus`` take a
+modulus and two flat row-major entry tuples and return the reduced entry
+tuple, by ``map`` chains or, for the standard product, packed ints; the
+public functions check the shapes and wrap the result unchecked
+(``_reduced``), and ``sample_axioms`` runs on the tuples alone.
 """
 
 from __future__ import annotations
@@ -82,9 +85,13 @@ def _common_modulus(a: MatrixElement, b: MatrixElement, op: str) -> int:
     return a.modulus
 
 
+def _plus(m: int, a: tuple, b: tuple) -> tuple[int, ...]:
+    return tuple(map(mod, map(add, a, b), repeat(m)))
+
+
 def mat_add(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     m = _common_modulus(a, b, "mat_add")
-    return _reduced(m, tuple(map(mod, map(add, a.entries, b.entries), repeat(m))))
+    return _reduced(m, _plus(m, a.entries, b.entries))
 
 
 @functools.lru_cache(maxsize=64)
@@ -108,32 +115,42 @@ def _layout(count: int, m: int) -> tuple:
     return pack, unpack, column, range(0, 8 * width * n, 8 * width), row_cuts
 
 
-def mat_mul_standard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
-    """Row-by-column product modulo the base modulus. With z = 2^(8 w), w the
-    slot width, column t of a packs to sum_i a[i][t] z^(i n) and row t of b to
+def _standard(m: int, a: tuple, b: tuple) -> tuple[int, ...]:
+    """Row-by-column product modulo m. With z = 2^(8 w), w the slot width,
+    column t of a packs to sum_i a[i][t] z^(i n) and row t of b to
     sum_j b[t][j] z^j; summed over t, their products hold entry ij at z^(i n + j)."""
-    m = _common_modulus(a, b, "mat_mul_standard")
-    pack, unpack, column, shifts, row_cuts = _layout(len(a.entries), m)
-    whole_a = int.from_bytes(pack(*a.entries), "little")
+    pack, unpack, column, shifts, row_cuts = _layout(len(a), m)
+    whole_a = int.from_bytes(pack(*a), "little")
     columns = map(and_, map(rshift, repeat(whole_a), shifts), repeat(column))
-    packed_b = pack(*b.entries)
+    packed_b = pack(*b)
     rows_b = map(int.from_bytes, map(packed_b.__getitem__, row_cuts), repeat("little"))
     total = sum(map(mul, columns, rows_b)).to_bytes(len(packed_b), "little")
-    return _reduced(m, tuple(map(mod, unpack(total), repeat(m))))
+    return tuple(map(mod, unpack(total), repeat(m)))
+
+
+def _hadamard(m: int, a: tuple, b: tuple) -> tuple[int, ...]:
+    return tuple(map(mod, map(mul, a, b), repeat(m)))
+
+
+def mat_mul_standard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
+    """Row-by-column product modulo the base modulus."""
+    m = _common_modulus(a, b, "mat_mul_standard")
+    return _reduced(m, _standard(m, a.entries, b.entries))
 
 
 def mat_mul_hadamard(a: MatrixElement, b: MatrixElement) -> MatrixElement:
     """Entrywise product modulo the base modulus."""
     m = _common_modulus(a, b, "mat_mul_hadamard")
-    return _reduced(m, tuple(map(mod, map(mul, a.entries, b.entries), repeat(m))))
+    return _reduced(m, _hadamard(m, a.entries, b.entries))
 
 
-def _product(mode: str):
-    """The product of a mode, read from the module globals so a rebinding is seen."""
+def _product(mode: str, kernel: bool = False):
+    """The public product of a mode, or its kernel, read from the module
+    globals so a rebinding is seen."""
     if mode == STANDARD:
-        return mat_mul_standard
+        return _standard if kernel else mat_mul_standard
     if mode == HADAMARD:
-        return mat_mul_hadamard
+        return _hadamard if kernel else mat_mul_hadamard
     raise UsageError(f"unknown multiplication mode {mode!r}")
 
 
@@ -172,12 +189,18 @@ def random_matrix(rng: random.Random, n: int, modulus: int) -> MatrixElement:
     ``random()`` cannot reach every residue (at 2^70 + 1 every entry would
     be a multiple of 2^17), so each entry is ``rng.randrange(modulus)``.
     """
+    return _reduced(modulus, tuple(_draws(rng, n, modulus, 1)))
+
+
+def _draws(rng: random.Random, n: int, modulus: int, count: int) -> Iterator[int]:
+    """The entries of count n x n matrices over Z/modulus as ``random_matrix``
+    draws them one after another, drawn as they are read."""
     if n < 1 or not isinstance(modulus, int) or modulus < 2:
         raise UsageError(f"random matrix needs n >= 1 and modulus >= 2: {n}, {modulus}")
     if modulus > 2**53:
-        return _reduced(modulus, tuple(rng.randrange(modulus) for _ in range(n * n)))
-    draws = map(mul, starmap(rng.random, repeat((), n * n)), repeat(float(modulus)))
-    return _reduced(modulus, tuple(map(math.floor, draws)))
+        return map(rng.randrange, repeat(modulus, count * n * n))
+    draws = starmap(rng.random, repeat((), count * n * n))
+    return map(math.floor, map(mul, draws, repeat(float(modulus))))
 
 
 def all_matrices(n: int, modulus: int) -> Iterator[MatrixElement]:
@@ -213,23 +236,22 @@ def sample_axioms(mode: str, n: int, modulus: int) -> dict:
     stored witness is consulted too, so the commutativity verdict at
     n >= 2 never depends on sampling luck. The products ab and ba and the
     sum b + c serve every comparison that reads them, so a triple takes 9
-    products and 3 additions.
+    products and 3 additions. The triples are entry tuples, drawn as three
+    ``random_matrix`` calls each, and every product and sum is its kernel's.
     """
-    product = _product(mode)
-    rng = random.Random(7)
+    product, plus, m = _product(mode, kernel=True), _plus, modulus
+    entries = _draws(random.Random(7), n, modulus, 3 * AXIOM_TRIPLES)
+    matrices = zip(*[entries] * (n * n))
     associative = True
     distributive = True
     commutative = True
-    for _ in range(AXIOM_TRIPLES):
-        a = random_matrix(rng, n, modulus)
-        b = random_matrix(rng, n, modulus)
-        c = random_matrix(rng, n, modulus)
-        ab, ba, b_plus_c = product(a, b), product(b, a), mat_add(b, c)
-        if product(a, product(b, c)) != product(ab, c):
+    for a, b, c in zip(*[matrices] * 3):
+        ab, ba, b_plus_c = product(m, a, b), product(m, b, a), plus(m, b, c)
+        if product(m, a, product(m, b, c)) != product(m, ab, c):
             associative = False
-        if product(a, b_plus_c) != mat_add(ab, product(a, c)):
+        if product(m, a, b_plus_c) != plus(m, ab, product(m, a, c)):
             distributive = False
-        if product(b_plus_c, a) != mat_add(ba, product(c, a)):
+        if product(m, b_plus_c, a) != plus(m, ba, product(m, c, a)):
             distributive = False
         if ab != ba:
             commutative = False

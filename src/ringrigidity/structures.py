@@ -16,11 +16,13 @@ its coefficient is non-zero.
 Products share one integer kernel, the left images x*e_j = sum_i x_i C[i][j]
 of the generators, each coordinate one C-level ``sum(map(mul, ...))``; on
 Z/n the one image is the single product x_0 * C[0][0]_0. ``product``
-applies it to two coordinate tuples and ``product_row`` to every element in
-lexicographic order; ``product_column`` is its mirror, x*y
-for every x from the right images e_i*y. On Z/n a row is c*m for the one
-image c, one period of n/gcd(c, n) entries repeated, and its entries are
-the object's n shared (r,) tuples, built by its first row (``_span``).
+applies it to two coordinate tuples (on Z/n it is x_0 * y_0 * C[0][0]_0)
+and ``product_row`` to every element in lexicographic order;
+``product_column`` is its mirror, x*y for every x from the right images
+e_i*y. Each refuses a tuple whose length is not the group's rank, with one
+length test per call. On Z/n a row is c*m for the one image c, one period
+of n/gcd(c, n) entries repeated, and its entries are the object's n shared
+(r,) tuples, built by its first row (``_span``).
 ``eval`` is the element-object edge, taking and returning ``GroupElement``.
 ``unit_coords`` screens the coordinate tuples by table side: row j or
 column j of the table says sum_i u_i side[i] = e_j, k linear congruences,
@@ -125,9 +127,15 @@ class StructureConstants(Frozen):
         return self._images(x, zip(*self.table))
 
     def product(self, x, y) -> tuple[int, ...]:
-        """x*y = sum_j y_j (x*e_j) on coordinate tuples, reduced."""
+        """x*y = sum_j y_j (x*e_j) on coordinate tuples, reduced; on Z/n the
+        single product x_0 * y_0 * C[0][0]_0."""
+        moduli = self.group.moduli
+        if not len(x) == len(y) == len(moduli):
+            raise _rank_error(self.group, x, y)
+        if len(moduli) == 1:
+            return (x[0] * y[0] * self.table[0][0][0] % moduli[0],)
         (image,) = self._images(y, [self._left_images(x)])
-        return tuple(map(operator.mod, image, self.group.moduli))
+        return tuple(map(operator.mod, image, moduli))
 
     def eval(self, g: GroupElement, h: GroupElement) -> GroupElement:
         """The bilinear product of g and h: sum of g_i * h_j * C[i][j]."""
@@ -164,11 +172,23 @@ class StructureConstants(Frozen):
         Each call computes its row and returns a new list; on Z/n its
         entries are the shared ``_residues`` tuples (see ``_span``).
         """
+        if len(x) != len(self.group.moduli):
+            raise _rank_error(self.group, x)
         return self._span(self._left_images(x))
 
     def product_column(self, y) -> list[tuple[int, ...]]:
         """x*y for every x in lexicographic order, from the images e_i*y."""
+        if len(y) != len(self.group.moduli):
+            raise _rank_error(self.group, y)
         return self._span(self._images(y, self.table))
+
+
+def _rank_error(group: GroupSpec, *tuples) -> UsageError:
+    """The refusal of coordinate tuples whose length is not the group's rank."""
+    return UsageError(
+        f"{group} has rank {group.rank}; the coordinate tuples "
+        f"{', '.join(map(repr, tuples))} do not all have that length"
+    )
 
 
 def _sums(moduli: tuple[int, ...], n: int, coefficients) -> list[int]:

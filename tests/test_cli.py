@@ -78,6 +78,7 @@ class TestGoldenFiles:
                 "matrix_demo_3_4294967311",
                 ["matrix-demo", "--n", "3", "--mod", "4294967311"],
             ),
+            ("matrix_demo_1_5", ["matrix-demo", "--n", "1", "--mod", "5"]),
         ],
     )
     def test_byte_stable(self, name, args):
@@ -524,18 +525,17 @@ class TestWorkCharges:
     def test_matrix_demo_charge_bounds_multiply_adds(self, monkeypatch, n):
         count = [0]
 
-        def counting(product, cost):
-            def counted(a, b):
+        # the kernels serve the axiom samples and, through the public
+        # functions, the unit checks and the witness
+        def counting(kernel, cost):
+            def counted(modulus, a, b):
                 count[0] += cost
-                return product(a, b)
+                return kernel(modulus, a, b)
 
             return counted
 
-        standard = counting(matrices.mat_mul_standard, n**3)
-        monkeypatch.setattr(matrices, "mat_mul_standard", standard)
-        monkeypatch.setattr(
-            matrices, "mat_mul_hadamard", counting(matrices.mat_mul_hadamard, n**2)
-        )
+        monkeypatch.setattr(matrices, "_standard", counting(matrices._standard, n**3))
+        monkeypatch.setattr(matrices, "_hadamard", counting(matrices._hadamard, n**2))
         code, _ = run_json("matrix-demo", "--n", str(n), "--mod", "5")
         assert code == 0
         if n >= 2:

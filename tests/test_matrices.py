@@ -14,6 +14,7 @@ from ringrigidity import (
     noncommutativity_witness,
     unit_matrix,
 )
+from ringrigidity import matrices
 from ringrigidity.matrices import random_matrix, sample_axioms, zero_matrix
 
 
@@ -311,3 +312,53 @@ class TestTwoRingStructures:
     def test_unknown_mode_refused(self):
         with pytest.raises(UsageError, match="unknown multiplication mode"):
             sample_axioms("bogus", 2, 7)
+
+    @pytest.mark.parametrize("n,modulus", [(0, 7), (-1, 7), (2, 1), (2, 7.0)])
+    def test_bad_shape_refused(self, n, modulus):
+        with pytest.raises(UsageError):
+            sample_axioms(STANDARD, n, modulus)
+
+    def test_broken_standard_kernel_is_not_associative(self, monkeypatch):
+        product = matrices._standard
+
+        def off_by_one(modulus, a, b):
+            entries = product(modulus, a, b)
+            return ((entries[0] + 1) % modulus,) + entries[1:]
+
+        assert sample_axioms(STANDARD, 2, 7)["associative"]
+        monkeypatch.setattr(matrices, "_standard", off_by_one)
+        assert not sample_axioms(STANDARD, 2, 7)["associative"]
+
+    def test_broken_hadamard_kernel_is_not_commutative(self, monkeypatch):
+        def left_factor(modulus, a, b):  # a * b = a: associative, not commutative
+            return a
+
+        assert sample_axioms(HADAMARD, 2, 7)["commutative"]
+        monkeypatch.setattr(matrices, "_hadamard", left_factor)
+        summary = sample_axioms(HADAMARD, 2, 7)
+        assert summary["associative"] and not summary["commutative"]
+
+    @pytest.mark.parametrize(
+        "n,modulus", [(1, 5), (2, 7), (3, 2**32 + 15), (2, 2**53 + 1), (2, 2**70 + 1)]
+    )
+    def test_samples_are_three_random_matrices_per_triple(self, monkeypatch, n, modulus):
+        # every product sees the triple's matrices, in draw order, as three
+        # random_matrix calls on one seed-7 generator make them
+        rng = random.Random(7)
+        expected = [
+            tuple(random_matrix(rng, n, modulus).entries for _ in range(3))
+            for _ in range(matrices.AXIOM_TRIPLES)
+        ]
+        seen = []
+        product = matrices._hadamard
+
+        def recording(m, a, b):
+            seen.append((a, b))
+            return product(m, a, b)
+
+        monkeypatch.setattr(matrices, "_hadamard", recording)
+        sample_axioms(HADAMARD, n, modulus)
+        # the first three products of a triple are ab, ba and bc
+        assert len(seen) == 9 * matrices.AXIOM_TRIPLES
+        triples = [(a, b, seen[k + 2][1]) for k, (a, b) in enumerate(seen) if k % 9 == 0]
+        assert triples == expected

@@ -596,6 +596,48 @@ class TestCyclicRows:
         assert back.product_row((1,)) == c.product_row((1,))
 
 
+    @pytest.mark.parametrize("n", [2, 5, 12, 64, 997, 2**40 + 15])
+    def test_rank_one_product_is_the_general_formula(self, n):
+        # x*y = sum_j y_j (x*e_j) with x*e_j = sum_i x_i C[i][j], as every
+        # larger rank computes it, on random scales and arguments
+        rng = random.Random(n)
+        for _ in range(200):
+            c = cyclic_constants(n, rng.randrange(-2 * n, 2 * n))
+            x, y = (rng.randrange(-3 * n, 3 * n),), (rng.randrange(-3 * n, 3 * n),)
+            (image,) = c._images(y, [c._images(x, zip(*c.table))])
+            assert c.product(x, y) == (image[0] % n,)
+
+
+class TestCoordinateLength:
+    """Tuples whose length is not the group's rank are refused, not truncated."""
+
+    def test_klein_product_refuses_a_short_left_factor(self):
+        c = StructureConstants(GroupSpec((2, 2)), (((1, 0), (0, 0)), ((0, 0), (0, 1))))
+        assert c.product((1, 0), (1, 1)) == (1, 0)
+        with pytest.raises(UsageError, match="rank 2"):
+            c.product((1,), (1, 1))
+        with pytest.raises(UsageError, match="rank 2"):
+            c.product((1, 0), (1, 1, 0))
+
+    def test_cyclic_product_refuses_a_long_left_factor(self):
+        c = cyclic_constants(5, 1)
+        assert c.product((1,), (2,)) == (2,)
+        with pytest.raises(UsageError, match="rank 1"):
+            c.product((1, 3), (2,))
+        with pytest.raises(UsageError, match="rank 1"):
+            c.product((1,), ())
+
+    @pytest.mark.parametrize("moduli", [(5,), (2, 2), (2, 3, 4)])
+    def test_rows_and_columns_refuse_other_lengths(self, moduli):
+        c = componentwise_constants(GroupSpec(moduli))
+        for length in {0, len(moduli) - 1, len(moduli) + 1} - {len(moduli)}:
+            coords = (1,) * length
+            with pytest.raises(UsageError, match=f"rank {len(moduli)}"):
+                c.product_row(coords)
+            with pytest.raises(UsageError, match=f"rank {len(moduli)}"):
+                c.product_column(coords)
+
+
 class TestWellDefinedness:
     def test_violating_table_rejected(self):
         spec = GroupSpec((2, 4))
