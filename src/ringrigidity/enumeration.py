@@ -21,12 +21,14 @@ node is one value tried in one cell, and it meets the due triples whose
 search. One loop maps ``_part`` over the parts for every worker count: a
 pool takes ``POOL_CHUNK`` parts per ``imap`` call when it would have more
 than one process (it never has more than parts or the CPUs this process
-may use), and the parent takes each part's result in task order as it
-arrives, its tables still pickled while it waits (``_pooled``); else the
-built-in ``map`` runs one part at a time in-process. ``Pool`` imports
-``multiprocessing`` only then, so a serial run never loads it. Each part
-returns its tables as int tuples in search order, which up to rank 2 is
-row-major order, and the parts come in order of cell 00.
+may use, and none without ``os.fork``). Its forked workers claim the
+parts one at a time from a pipe of tickets, and the parent takes each
+part's result in task order as it arrives, its tables still pickled
+while they wait (``Pool``, ``_pooled``); else the built-in ``map`` runs
+one part at a time in-process. No thread is started and no module loads
+``multiprocessing``. Each part returns its tables as int tuples in search
+order, which up to rank 2 is row-major order, and the parts come in order
+of cell 00.
 
 The transpose C'[i][j] = C[j][i] of a table is the table of the opposite
 ring, with the same addition. So the search keeps only the tables that
@@ -101,9 +103,149 @@ class SearchConfig(Frozen):
             object.__setattr__(self, name, value)
 
 
-def Pool(processes: int):
-    from multiprocessing import Pool  # so only a pool start loads multiprocessing
-    return Pool(processes)
+_TICKET = 2  # bytes of one ticket, a task index below 2**16
+
+
+class Pool:
+    """``processes`` forked workers per ``imap`` call, with no threads: a
+    context manager whose ``imap(fn, tasks)`` yields results in task order.
+
+    The parent writes the task indices as fixed-width tickets to one pipe
+    and closes it, then forks the workers. A worker claims one ticket at a
+    time (reads this small are atomic), runs ``fn`` on the task list it
+    inherited, so no task is pickled, and writes the index and pickled
+    result on its own pipe (``_work``). The parent only reads: it polls the
+    live pipes, keeps results that arrive early as bytes and yields them in
+    task order (``_receive``), so the parts are claimed as workers come free
+    and the parent's work on one result overlaps the search of the next.
+    It reaps every worker before the call returns, so ``RUSAGE_CHILDREN``
+    counts their CPU and memory; on any other exit, and when the pool
+    closes, it kills and reaps the workers left. A worker that ends with a
+    non-zero status while results are owed raises ``CapacityError``; an
+    exception raised by ``fn`` is raised again in the parent. As with any
+    pool that forks, the calling process should run no other threads.
+    """
+
+    def __init__(self, processes: int) -> None:
+        self.processes = processes
+        self._workers: dict[int, tuple] = {}  # pipe -> (worker, pid, buffer)
+
+    def __enter__(self) -> "Pool":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        _stop(self._workers)
+        return False
+
+    def imap(self, fn, tasks) -> Iterator:
+        import pickle
+        import select
+
+        tasks = list(tasks)
+        if len(tasks) > POOL_CHUNK:  # so the tickets fit in the pipe unread
+            raise UsageError(f"a pool call takes at most {POOL_CHUNK} tasks")
+        self._workers = workers = {}
+        held: dict[int, bytearray] = {}  # results that came before their turn
+        poll = select.poll()
+        tickets, feed = os.pipe()
+        ticket_bytes = (i.to_bytes(_TICKET, "little") for i in range(len(tasks)))
+        os.write(feed, b"".join(ticket_bytes))
+        os.close(feed)
+        try:
+            try:
+                for worker in range(min(self.processes, len(tasks))):
+                    out, into = os.pipe()
+                    pid = os.fork()
+                    if pid == 0:
+                        for fd in (out, *workers):
+                            os.close(fd)
+                        _work(fn, tasks, tickets, into)  # never returns
+                    os.close(into)
+                    workers[out] = (worker, pid, bytearray())
+                    poll.register(out, select.POLLIN)
+            finally:
+                os.close(tickets)
+            for index in range(len(tasks)):
+                while index not in held:
+                    _receive(poll, workers, held, len(tasks) - index)
+                ok, result = pickle.loads(held.pop(index))
+                if not ok:
+                    raise result
+                yield result
+            while workers:  # after the last result, so the parent works meanwhile
+                _receive(poll, workers, held, 0)
+        finally:
+            _stop(workers)
+
+
+def _work(fn, tasks: list, tickets: int, into: int) -> None:
+    """A pool worker: for each ticket it claims, one record on ``into``, the
+    task index and the length (4 bytes each) of the pickled pair (ok,
+    result or exception) that follows. It leaves by ``os._exit`` once the
+    tickets run out, or with status 1 on an exception outside ``fn``, so it
+    never runs the parent's code or flushes its buffers."""
+    import pickle
+
+    code = 1
+    try:
+        while ticket := os.read(tickets, _TICKET):
+            index = int.from_bytes(ticket, "little")
+            try:
+                record = pickle.dumps((True, fn(tasks[index])))
+            except Exception as exc:
+                record = pickle.dumps((False, exc))
+            head = index.to_bytes(4, "little") + len(record).to_bytes(4, "little")
+            for data in (head, memoryview(record)):
+                while data:
+                    data = data[os.write(into, data) :]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(poll, workers: dict, held: dict, left: int) -> None:
+    """Wait once for the workers' pipes. Each complete record moves to
+    ``held``, still pickled, under its task index. A pipe that ended is the
+    end of its worker, reaped at once; while some of the ``left`` results
+    are neither yielded nor held, an abnormal end, or the end of the last
+    worker, raises ``CapacityError``."""
+    for out, _ in poll.poll():
+        worker, pid, buffer = workers[out]
+        chunk = os.read(out, 1 << 16)
+        if chunk:
+            buffer += chunk
+            while len(buffer) >= 8:
+                end = 8 + int.from_bytes(buffer[4:8], "little")
+                if len(buffer) < end:
+                    break
+                held[int.from_bytes(buffer[:4], "little")] = buffer[8:end]
+                del buffer[:end]
+            continue
+        poll.unregister(out)
+        os.close(out)
+        del workers[out]
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        owed = left - len(held)
+        if owed > 0 and (code or not workers):
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise CapacityError(
+                f"pool worker {worker} (pid {pid}) ended by {how} with {owed} "
+                "results owed"
+            )
+
+
+def _stop(workers: dict) -> None:
+    """Kill and reap the workers still running, closing their pipes."""
+    if not workers:
+        return
+    import signal
+
+    for out, (_, pid, _) in workers.items():
+        os.close(out)
+        os.kill(pid, signal.SIGKILL)
+    for _, pid, _ in workers.values():
+        os.waitpid(pid, 0)
+    workers.clear()
 
 
 def charge(work: int, budget: int, what: str) -> None:
@@ -303,7 +445,7 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
 def _packed_part(task: tuple) -> tuple[bytes, int]:
     """``_part`` in a pool worker, with its tables pickled: a result that
     waits for the parent stays bytes until the parent takes it."""
-    import pickle  # loaded with multiprocessing, as in ``Pool``
+    import pickle  # loaded only where a pool runs, as in ``Pool``
 
     tables, nodes = _part(task)
     return pickle.dumps(tables), nodes
@@ -311,8 +453,9 @@ def _packed_part(task: tuple) -> tuple[bytes, int]:
 
 def _pooled(pool, tasks: list) -> Iterator[tuple[list[tuple], int]]:
     """``_part`` over the tasks in the pool, each result in task order as it
-    arrives; a pool with no ``imap``, such as perfbench's traced one, maps
-    the whole list at once."""
+    arrives; a pool with no ``imap``, such as the ``multiprocessing`` pool
+    perfbench's tracer puts in place of ``Pool``, maps the whole list at
+    once."""
     import pickle
 
     run = pool.imap if hasattr(pool, "imap") else pool.map
@@ -330,8 +473,8 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     exceeds it. The nodes of cell 00 are charged from its set size alone,
     before any candidate set is built, and a plan whose sets hold more
     values than the budget is refused before ``_plan`` builds them. A pool
-    streams the parts' results (``_pooled``), so the parent unpickles one
-    part's tables at a time.
+    streams the parts' results (``Pool``, ``_pooled``), so the parent
+    unpickles one part's tables at a time.
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
@@ -357,7 +500,9 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     sets = sum(_set_size(moduli, a, b) for a in moduli for b in moduli)
     charge(sets, budget, f"candidate cell values in the census plan of {spec}")
     values = itertools.product(*_plan(moduli)[0][1])
-    if hasattr(os, "sched_getaffinity"):
+    if not hasattr(os, "fork"):
+        cpus = 1  # no pool without fork: the parts run in-process
+    elif hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
     else:
         cpus = os.cpu_count() or 1
@@ -368,7 +513,8 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
             share = (budget - spent) // len(chunk)
             tasks = [(moduli, value, share) for value in chunk]
             results = map(_part, tasks) if pool is None else _pooled(pool, tasks)
-            for value, (tables, nodes) in zip(chunk, results):
+            # results first, so a pool's imap is resumed past its last result
+            for (tables, nodes), value in zip(results, chunk):
                 if nodes > share and share < budget - spent:  # cut short below the rest
                     tables, nodes = _part((moduli, value, budget - spent))
                 spend(nodes)

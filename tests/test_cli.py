@@ -750,25 +750,35 @@ def fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
     """``python -S`` with ``args``, importing the package this suite imported.
 
     A fresh interpreter, since pytest itself imports the watched modules;
-    -S keeps site's own imports out of the modules the child reports.
+    -S keeps site's own imports out of the modules the child reports. Its
+    stdout is a pipe, and block-buffered even where PYTHONUNBUFFERED is set.
     """
     src = str(Path(ringrigidity.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     proc = subprocess.run(
         [sys.executable, "-S", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**env, "PYTHONPATH": src},
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return proc
 
 
-# a pool starts only with two workers and two CPUs to run them
-if hasattr(os, "sched_getaffinity"):
-    CPUS = len(os.sched_getaffinity(0))
-else:
-    CPUS = os.cpu_count() or 1
+# run in a fresh interpreter, whose stdout is block-buffered: a
+# line printed before a two-worker census, then the census, and the forks
+POOL_PROBE = """
+import os
+fork = os.fork
+forks = []
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}  # a pool even on one CPU
+from ringrigidity import GroupSpec, SearchConfig, rigidity_report
+print("printed before the census")
+report = rigidity_report(GroupSpec((3, 3)), SearchConfig(workers=2))
+print(report.total, len(forks))
+"""
 
 
 class TestEntryPoint:
@@ -793,12 +803,8 @@ class TestEntryPoint:
         [
             # the census commands load neither scaled nor matrices, nor random
             (["enumerate", "--group", "2,2"], ["--workers", "1"], []),
-            # a pool loads multiprocessing, whose own imports load random
-            (
-                ["enumerate", "--group", "3,3"],
-                ["--workers", "2"],
-                ["multiprocessing", "random"] if CPUS > 1 else [],
-            ),
+            # a pool forks its workers: it loads neither multiprocessing nor random
+            (["enumerate", "--group", "3,3"], ["--workers", "2"], []),
             (["classify", "--modulus", "6"], [], []),
             # the other commands load their own module, and random where they draw
             (
@@ -824,6 +830,11 @@ class TestEntryPoint:
         reported, output = proc.stdout.split("\n", 1)
         assert json.loads(reported) == loaded
         assert output == run_cli(*argv)[1]  # in this process, on one worker
+
+    def test_pool_workers_never_flush_the_parent(self):
+        # forked workers inherit the buffered line but leave by os._exit
+        proc = fresh_interpreter("-c", POOL_PROBE)
+        assert proc.stdout == "printed before the census\n121 2\n"
 
     def test_no_generated_code(self):
         # no module runs source it builds: the exec, eval and compile

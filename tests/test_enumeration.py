@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import pickle
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -773,6 +777,113 @@ class TestDeterminismAndParallelism:
     def test_lexicographic_emission_order(self):
         tables = coords_tables(GroupSpec((5,)))
         assert tables == sorted(tables)
+
+
+def slow_square(x):
+    time.sleep(0.02 * (x % 3 == 0))  # results arrive out of task order
+    return x * x
+
+
+def fails_at_three(x):
+    if x == 3:
+        raise UsageError(f"task {x} is refused")
+    return x
+
+
+def expire(signum, frame):
+    raise TimeoutError("the pool did not finish within 60 s")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Two CPUs for the census, whatever this machine has, a record of every
+    fork and 60 s to finish; after the test no child process and no new
+    thread is left."""
+    threads = threading.active_count()
+    record = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: record.append(1) or fork())
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield record
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.usefixtures("forks")
+class TestForkedPool:
+    def test_results_in_task_order(self):
+        # a closure is never pickled: the workers inherit it with the tasks
+        offset = 1
+        with enumeration.Pool(2) as pool:
+            results = list(pool.imap(lambda x: slow_square(x) + offset, range(9)))
+        assert results == [x * x + 1 for x in range(9)]
+
+    def test_exception_keeps_its_type(self, forks):
+        with enumeration.Pool(2) as pool:
+            with pytest.raises(UsageError, match="task 3 is refused"):
+                list(pool.imap(fails_at_three, range(6)))
+        assert len(forks) == 2
+
+    def test_exception_comes_in_task_order(self):
+        with enumeration.Pool(2) as pool:
+            results = pool.imap(fails_at_three, range(6))
+            assert [next(results) for _ in range(3)] == [0, 1, 2]
+            with pytest.raises(UsageError):
+                next(results)
+
+    def test_worker_exit_is_a_capacity_error(self):
+        def exits(x):
+            if x == 2:
+                os._exit(9)
+            return x
+
+        with enumeration.Pool(2) as pool:
+            with pytest.raises(CapacityError, match=r"exit status 9 with \d+ results"):
+                list(pool.imap(exits, range(6)))
+
+    def test_killed_worker_is_a_capacity_error(self):
+        def killed(x):
+            if x == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        with enumeration.Pool(2) as pool:
+            with pytest.raises(CapacityError, match=f"signal {int(signal.SIGKILL)} "):
+                list(pool.imap(killed, range(6)))
+
+    def test_tasks_beyond_a_chunk_refused(self):
+        with enumeration.Pool(2) as pool:
+            with pytest.raises(UsageError, match="at most 256 tasks"):
+                next(pool.imap(abs, range(enumeration.POOL_CHUNK + 1)))
+
+    def test_complete_census_leaves_nothing(self, forks):
+        spec = GroupSpec((3, 3))
+        report = rigidity_report(spec, SearchConfig(workers=2))
+        assert report == rigidity_report(spec)
+        assert len(forks) == 2
+
+    def test_budget_cut_leaves_nothing(self, forks):
+        # 2,2,4 needs 64,333 nodes: the stream raises once the parts' counts
+        # pass the budget
+        config = SearchConfig(workers=2, budget=64332)
+        with pytest.raises(CapacityError, match="more than 64332 search nodes"):
+            rigidity_report(GroupSpec((2, 2, 4)), config)
+        assert len(forks) == 2
+
+    def test_closed_stream_leaves_nothing(self, forks):
+        spec = GroupSpec((2, 2, 4))
+        stream = enumerate_multiplications(spec, SearchConfig(workers=2))
+        first = next(stream)
+        stream.close()
+        assert first.mult.table == next(enumerate_multiplications(spec)).mult.table
+        assert len(forks) == 2
 
 
 class TestCapsAndBudget:
