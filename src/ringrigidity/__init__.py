@@ -76,7 +76,6 @@ _LAZY = {
             "extract_scale",
             "find_pm1_violation",
             "find_unit_windowed",
-            "has_pm1_unit_property",
             "scale_ring",
             "scaled_unit_sweep",
             "unit_of_scaled",

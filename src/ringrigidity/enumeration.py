@@ -23,9 +23,9 @@ pool takes ``POOL_CHUNK`` parts per ``imap`` call when it would have more
 than one process (it never has more than parts or the CPUs this process
 may use, and none without ``os.fork``). Its forked workers claim the
 parts one at a time from a pipe of tickets, and the parent takes each
-part's result in task order as it arrives, its tables still pickled
-while they wait (``Pool``, ``_pooled``); else the built-in ``map`` runs
-one part at a time in-process. No thread is started and no module loads
+part's result in task order as it arrives, still pickled while it waits,
+and unpickles it once (``Pool``); else the built-in ``map`` runs one part
+at a time in-process. No thread is started and no module loads
 ``multiprocessing``. Each part returns its tables as int tuples in search
 order, which up to rank 2 is row-major order, and the parts come in order
 of cell 00.
@@ -442,27 +442,6 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     return found, nodes
 
 
-def _packed_part(task: tuple) -> tuple[bytes, int]:
-    """``_part`` in a pool worker, with its tables pickled: a result that
-    waits for the parent stays bytes until the parent takes it."""
-    import pickle  # loaded only where a pool runs, as in ``Pool``
-
-    tables, nodes = _part(task)
-    return pickle.dumps(tables), nodes
-
-
-def _pooled(pool, tasks: list) -> Iterator[tuple[list[tuple], int]]:
-    """``_part`` over the tasks in the pool, each result in task order as it
-    arrives; a pool with no ``imap``, such as the ``multiprocessing`` pool
-    perfbench's tracer puts in place of ``Pool``, maps the whole list at
-    once."""
-    import pickle
-
-    run = pool.imap if hasattr(pool, "imap") else pool.map
-    for packed, nodes in run(_packed_part, tasks):
-        yield pickle.loads(packed), nodes
-
-
 def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     """Every associative table on the group that is at most its transpose,
     exactly once, as coordinate tuples: one list per value of cell 00.
@@ -473,8 +452,8 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     exceeds it. The nodes of cell 00 are charged from its set size alone,
     before any candidate set is built, and a plan whose sets hold more
     values than the budget is refused before ``_plan`` builds them. A pool
-    streams the parts' results (``Pool``, ``_pooled``), so the parent
-    unpickles one part's tables at a time.
+    streams ``_part``'s results through ``Pool.imap``, so the parent
+    unpickles one part's tables at a time, each once.
     """
     if spec.order > GROUP_ORDER_CAP:
         raise CapacityError(
@@ -509,12 +488,13 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     processes = min(config.workers, parts, cpus)
     with Pool(processes) if processes > 1 else contextlib.nullcontext() as pool:
         size = 1 if pool is None else POOL_CHUNK
+        # perfbench's traced pool has only map, which runs a chunk at once
+        run = map if pool is None else getattr(pool, "imap", None) or pool.map
         for chunk in iter(lambda: list(itertools.islice(values, size)), []):
             share = (budget - spent) // len(chunk)
             tasks = [(moduli, value, share) for value in chunk]
-            results = map(_part, tasks) if pool is None else _pooled(pool, tasks)
             # results first, so a pool's imap is resumed past its last result
-            for (tables, nodes), value in zip(results, chunk):
+            for (tables, nodes), value in zip(run(_part, tasks), chunk):
                 if nodes > share and share < budget - spent:  # cut short below the rest
                     tables, nodes = _part((moduli, value, budget - spent))
                 spend(nodes)

@@ -266,11 +266,6 @@ def find_pm1_violation(
     return None
 
 
-def has_pm1_unit_property(ring: RingStructure) -> bool:
-    """True iff the only reciprocal pairs are (1, 1) and (-1, -1)."""
-    return find_pm1_violation(ring) is None
-
-
 class ScaledUnitEntry(NamedTuple):
     scale: GroupElement
     unit: Optional[GroupElement]

@@ -869,6 +869,25 @@ class TestForkedPool:
         assert report == rigidity_report(spec)
         assert len(forks) == 2
 
+    def test_parent_unpickles_each_part_once(self, forks, monkeypatch):
+        # the 4 parts of 2,2: each worker pickles a part's tables once, and
+        # the parent unpickles them once
+        loads = pickle.loads
+        calls = []
+        monkeypatch.setattr(pickle, "loads", lambda b: calls.append(1) or loads(b))
+        spec = GroupSpec((2, 2))
+        report = rigidity_report(spec, SearchConfig(workers=2))
+        assert len(calls) == 4
+        assert report == rigidity_report(spec)
+
+    def test_census_beyond_a_chunk(self, forks):
+        # the 257 values of cell 00 on 257,2 take two imap calls, of 256
+        # parts on two workers and of one part on one
+        spec = GroupSpec((257, 2))
+        report = rigidity_report(spec, SearchConfig(workers=2))
+        assert len(forks) == 3
+        assert report == rigidity_report(spec)
+
     def test_budget_cut_leaves_nothing(self, forks):
         # 2,2,4 needs 64,333 nodes: the stream raises once the parts' counts
         # pass the budget

@@ -21,7 +21,6 @@ from ringrigidity import (
     extract_scale,
     find_pm1_violation,
     find_unit_windowed,
-    has_pm1_unit_property,
     scale_ring,
     scaled_unit_sweep,
     unit_of_scaled,
@@ -474,7 +473,7 @@ class TestPm1UnitProperty:
         (5, False), (7, False), (8, False), (12, False),
     ])
     def test_cyclic_rings(self, modulus, expected):
-        assert has_pm1_unit_property(usual_cyclic_ring(modulus)) is expected
+        assert (find_pm1_violation(usual_cyclic_ring(modulus)) is None) is expected
 
     def test_violation_witness_mod_5(self):
         ring = usual_cyclic_ring(5)
@@ -513,7 +512,7 @@ class TestPm1UnitProperty:
         )
         assert zero_ring.unit is None
         with pytest.raises(UsageError):
-            has_pm1_unit_property(zero_ring)
+            find_pm1_violation(zero_ring)
 
 
 class TestPm1Scales:
@@ -576,7 +575,7 @@ class TestScaledUnitality:
         # the four-element field has units {1, w, w^2} but 1 is its own
         # negative, so a*u = 1 admits (w, w^2): property fails
         ring = RingStructure.from_constants(klein_field_constants())
-        assert not has_pm1_unit_property(ring)
+        assert find_pm1_violation(ring) is not None
         entries = scaled_unit_sweep(ring)
         unital = [e.scale for e in entries if e.unit is not None]
         assert len(unital) == 3  # every nonzero element of a field
