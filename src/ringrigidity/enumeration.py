@@ -1,10 +1,12 @@
 """Census of ring multiplications on a finite abelian group.
 
 A multiplication is a table of structure constants: entry (i, j) ranges
-over the elements whose order divides gcd(n_i, n_j), which is exactly the
-well-definedness constraint, so distributivity holds by construction and
-only associativity filters the tables. The census counts coordinate tuples;
-ring objects are built only for its examples and the public stream.
+over the elements whose order divides gcd(n_i, n_j) (``_cells``), which is
+exactly the well-definedness constraint, so distributivity holds by
+construction and only associativity filters the tables. The search also
+runs on subsets of those sets, the same in cells (i, j) and (j, i). The
+census counts coordinate tuples; ring objects are built only for its
+examples and the public stream.
 
 The search assigns one cell at a time in the growing-square order
 00 01 10 11 02 20 12 21 22 ... and tests each generator triple (i, j, l)
@@ -44,9 +46,9 @@ its budget, are those of the one search.
 
 The census charges the budget per node. A solve runs once per node that
 passes, and its work is bounded by the plan's size. The parent charges
-the nodes of cell 00 from its set size prod_t gcd(n_t, n_0) before it
-builds any set, and refuses a plan whose k^2 candidate sets hold more
-values than the budget, from their sizes alone; only cell 00's values are
+the nodes of cell 00 from the lengths of its ranges before it builds any
+set, and refuses a plan whose k^2 candidate sets hold more values than
+the budget, from those lengths alone; only cell 00's values are
 nodes, so the others are not spent. It adds the parts' counts in task
 order, raising once the total exceeds the budget. The parts of one call
 share the rest of the budget equally, so a serial part's cap is the whole
@@ -268,15 +270,19 @@ def _order(k: int) -> list[tuple[int, int]]:
     return order
 
 
-def _set_size(moduli: tuple[int, ...], a: int, b: int) -> int:
-    """The size of the candidate set of a cell whose factors are Z/a and Z/b."""
-    return math.prod(math.gcd(n, a, b) for n in moduli)
+def _cells(moduli: tuple[int, ...]) -> tuple[tuple[range, ...], ...]:
+    """Per cell (i, j) of ``_order``, each coordinate t's candidate residues
+    as a ``range``, the multiples of n_t / gcd(n_t, n_i, n_j): their product
+    is the cell's set in lexicographic order, with no scan of the group."""
+    return tuple(
+        tuple(range(0, n, n // math.gcd(n, moduli[i], moduli[j])) for n in moduli)
+        for i, j in _order(len(moduli))
+    )
 
 
 def search_space_size(spec: GroupSpec) -> int:
     """The candidate tables: the product of the cells' candidate-set sizes."""
-    moduli = spec.moduli
-    return math.prod(_set_size(moduli, a, b) for a in moduli for b in moduli)
+    return math.prod(len(c) for cell in _cells(spec.moduli) for c in cell)
 
 
 def _reach(x: tuple[int, ...]) -> int:
@@ -285,14 +291,14 @@ def _reach(x: tuple[int, ...]) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
+def _plan(moduli: tuple[int, ...], cells: tuple) -> tuple[tuple, ...]:
     """Per depth d, the step (cell, coords, reach_of, solved, tested).
 
-    ``cell`` is the d-th cell of ``_order``, (i, j). Its candidates are the
-    x with g*x = 0 for g = gcd(n_i, n_j): in a factor Z/n the multiples of
-    n / gcd(n, g), listed as ``coords[t]`` for coordinate t, so their
-    product comes out in lexicographic order without a scan of the group.
-    ``reach_of`` maps each candidate, in that order, to its ``_reach``.
+    ``cell`` is the d-th cell of ``_order``, (i, j), and ``coords`` is
+    ``cells[d]``: its candidate residues per coordinate, the group's own
+    (``_cells``) or any subsets of them, each in increasing order, that give
+    cells (i, j) and (j, i) the same sets. ``reach_of`` maps each candidate,
+    in the lexicographic order of their product, to its ``_reach``.
 
     Triple (i, j, l) is due where the last cell it reads is fixed:
     due[reach(C[i][j])][reach(C[j][l])] with due[ra][rb] = max(anchor,
@@ -309,11 +315,7 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
     k = len(moduli)
     order = _order(k)
     depth = {cell: d for d, cell in enumerate(order)}
-    coords = [
-        tuple(tuple(range(0, n, n // math.gcd(n, g))) for n in moduli)
-        for g in (math.gcd(moduli[i], moduli[j]) for i, j in order)
-    ]
-    reach_of = [{x: _reach(x) for x in itertools.product(*c)} for c in coords]
+    reach_of = [{x: _reach(x) for x in itertools.product(*c)} for c in cells]
     solved: list[list[tuple]] = [[] for _ in order]
     tested: list[list[tuple]] = [[] for _ in order]
     r = range(k)
@@ -330,7 +332,7 @@ def _plan(moduli: tuple[int, ...]) -> tuple[tuple, ...]:
         for d in {due[ra][rb] for ra, rb in held}:
             entries = tested if order[d] in ((i, j), (j, l)) else solved
             entries[d].append((i, j, l, due))
-    return tuple(zip(order, coords, reach_of, map(tuple, solved), map(tuple, tested)))
+    return tuple(zip(order, cells, reach_of, map(tuple, solved), map(tuple, tested)))
 
 
 def _solve(moduli: tuple[int, ...], table, reach, depth: int, step) -> list[list[int]]:
@@ -373,25 +375,25 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     """The tables with one value of cell 00 that are at most their
     transpose, as int tuples in search order, and the nodes visited.
 
-    task = (moduli, value of cell 00, cap). A node is one value tried in
-    one cell after cell 00; past ``cap`` nodes the search stops and
-    reports cap + 1. On entering a depth the search solves the ``solved``
-    entries of that depth's step (see ``_plan``) whose due depth, looked up
-    from the reaches of the cells fixed so far, is that depth, and tries
-    only the values they admit, in lexicographic order. Each tried value then
-    meets the due entries of ``tested``, so each triple is checked once per
-    path. A failing tested triple moves to the front of its list, so the
-    triple that cuts most is tried first. Cell 00 meets the tested entries
-    of depth 0 alike, and none is solved there; a failing value of it
-    returns no tables and no nodes.
+    task = (moduli, cells, value of cell 00, cap), ``cells`` as ``_plan``
+    takes them. A node is one value tried in one cell after cell 00; past
+    ``cap`` nodes the search stops and reports cap + 1. On entering a depth
+    the search solves the ``solved`` entries of that depth's step whose due
+    depth, looked up from the reaches of the cells fixed so far, is that
+    depth, and tries only the values they admit, in lexicographic order.
+    Each tried value then meets the due entries of ``tested``, so each
+    triple is checked once per path. A failing tested triple moves to the
+    front of its list, so the triple that cuts most is tried first. Cell 00
+    meets the tested entries of depth 0 alike, and none is solved there; a
+    failing value of it returns no tables and no nodes.
 
     While every mirror pair so far is symmetric (``tied``), cell (a, b)
     with a > b drops the values below C[b][a], by first coordinate before
     the product, and never makes them nodes. Cell 00 closes no mirror pair,
     so every part starts tied.
     """
-    moduli, value, cap = task
-    plan = _plan(moduli)
+    moduli, cells, value, cap = task
+    plan = _plan(moduli, cells)
     checks_at = [list(tested) for *_, tested in plan]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
@@ -442,17 +444,18 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     return found, nodes
 
 
-def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
-    """Every associative table on the group that is at most its transpose,
-    exactly once, as coordinate tuples: one list per value of cell 00.
+def _tables(spec: GroupSpec, config: SearchConfig, cells) -> Iterator[list[tuple]]:
+    """Every associative table on the group with values in ``cells`` (as
+    ``_plan`` takes them) that is at most its transpose, exactly once, as
+    coordinate tuples: one list per value of cell 00.
 
     The parts come in order of cell 00, each in search order, which is
     lexicographic only up to rank 2. Every node of the search is
     charged against the budget, and the search raises once the count
-    exceeds it. The nodes of cell 00 are charged from its set size alone,
-    before any candidate set is built, and a plan whose sets hold more
-    values than the budget is refused before ``_plan`` builds them. A pool
-    streams ``_part``'s results through ``Pool.imap``, so the parent
+    exceeds it. The nodes of cell 00 are charged from its ranges' lengths
+    alone, before any candidate set is built, and a plan whose sets hold
+    more values than the budget is refused before ``_plan`` builds them. A
+    pool streams ``_part``'s results through ``Pool.imap``, so the parent
     unpickles one part's tables at a time, each once.
     """
     if spec.order > GROUP_ORDER_CAP:
@@ -461,7 +464,7 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
         )
     budget = config.budget
     moduli = spec.moduli
-    parts = _set_size(moduli, moduli[0], moduli[0])  # one per value of cell 00
+    parts = math.prod(map(len, cells[0]))  # one per value of cell 00
     spent = 0
 
     def spend(nodes: int) -> None:
@@ -476,9 +479,9 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
     spend(parts)  # the parent visits every value of cell 00; a failing one adds none
     # the plan's k^2 candidate sets, refused and not spent: only cell 00's
     # values are nodes yet
-    sets = sum(_set_size(moduli, a, b) for a in moduli for b in moduli)
+    sets = sum(math.prod(map(len, cell)) for cell in cells)
     charge(sets, budget, f"candidate cell values in the census plan of {spec}")
-    values = itertools.product(*_plan(moduli)[0][1])
+    values = itertools.product(*_plan(moduli, cells)[0][1])  # built before a fork
     if not hasattr(os, "fork"):
         cpus = 1  # no pool without fork: the parts run in-process
     elif hasattr(os, "sched_getaffinity"):
@@ -492,11 +495,11 @@ def _tables(spec: GroupSpec, config: SearchConfig) -> Iterator[list[tuple]]:
         run = map if pool is None else getattr(pool, "imap", None) or pool.map
         for chunk in iter(lambda: list(itertools.islice(values, size)), []):
             share = (budget - spent) // len(chunk)
-            tasks = [(moduli, value, share) for value in chunk]
+            tasks = [(moduli, cells, value, share) for value in chunk]
             # results first, so a pool's imap is resumed past its last result
             for (tables, nodes), value in zip(run(_part, tasks), chunk):
                 if nodes > share and share < budget - spent:  # cut short below the rest
-                    tables, nodes = _part((moduli, value, budget - spent))
+                    tables, nodes = _part((moduli, cells, value, budget - spent))
                 spend(nodes)
                 yield tables
 
@@ -512,7 +515,7 @@ def enumerate_multiplications(
     """
     return (
         RingStructure(StructureConstants(spec, t))
-        for part in _tables(spec, config)
+        for part in _tables(spec, config, _cells(spec.moduli))
         for t in sorted({*part, *(tuple(zip(*c)) for c in part)})
     )
 
@@ -563,7 +566,7 @@ def classify_cyclic(
     residues = [(m,) for m in range(n)]
     closed = [[residues[c * m % n] for m in range(n)] for c in range(n)]
     entries = []
-    for (table,) in _tables(spec, config):  # on Z/N a part is one table
+    for (table,) in _tables(spec, config, _cells(spec.moduli)):  # a part is one table
         scale = table[0][0][0]
         mult = StructureConstants(spec, table)
         for x in range(n):
@@ -600,7 +603,8 @@ def rigidity_report(
     else:
         total = commutative = unital = 0
         smallest = []
-        for table in itertools.chain.from_iterable(_tables(spec, config)):
+        parts = _tables(spec, config, _cells(spec.moduli))
+        for table in itertools.chain.from_iterable(parts):
             transpose = tuple(zip(*table))
             symmetric = table == transpose  # by bilinearity, commutativity
             weight = 1 if symmetric else 2

@@ -154,10 +154,6 @@ def _product(mode: str, kernel: bool = False):
     raise UsageError(f"unknown multiplication mode {mode!r}")
 
 
-def zero_matrix(n: int, modulus: int) -> MatrixElement:
-    return MatrixElement(modulus, tuple((0,) * n for _ in range(n)))
-
-
 def unit_matrix(mode: str, n: int, modulus: int) -> MatrixElement:
     """The two-sided identity of the chosen product.
 

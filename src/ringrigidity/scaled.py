@@ -113,7 +113,11 @@ def scaled_identity_failure(a: int, n: int, m: int, k: int) -> Optional[str]:
     plus commutativity. Returns a description of the first failing
     identity, or None when all hold.
     """
-    mul = ScaledMult(a)
+    return _identity_failure(ScaledMult(a), a, n, m, k)
+
+
+def _identity_failure(mul, a: int, n: int, m: int, k: int) -> Optional[str]:
+    """``scaled_identity_failure`` on the closure ``mul`` = ScaledMult(a)."""
     try:
         assoc_left = mul(n, mul(m, k))
         assoc_right = mul(mul(n, m), k)
@@ -151,8 +155,9 @@ def scaled_identity_suite(a: int, bound: int, samples: int) -> IdentitySuiteRepo
     window = IntegerWindow(bound)  # a bound below 1 is a usage error
     if samples < 0:
         raise UsageError(f"samples must be >= 0, got {samples}")
+    mul = ScaledMult(a)  # one closure for every sample
     for n, m, k in window.random_triples(samples, seed=0):
-        failure = scaled_identity_failure(a, n, m, k)
+        failure = _identity_failure(mul, a, n, m, k)
         if failure is not None:
             return IdentitySuiteReport(a, samples, failure)
     return IdentitySuiteReport(a, samples, None)

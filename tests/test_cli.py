@@ -207,7 +207,7 @@ class TestExitCodes:
         values = []
 
         def spy(task):
-            values.append(task[1])
+            values.append(task[2])
             return part(task)
 
         monkeypatch.setattr(enumeration, "_part", spy)
@@ -226,7 +226,7 @@ class TestExitCodes:
         # (Z/2)^12 has 144 cells of 4096 candidates, all built by ``_plan``;
         # the prefix charge is taken from the set sizes, so it never runs
         built = []
-        monkeypatch.setattr(enumeration, "_plan", built.append)
+        monkeypatch.setattr(enumeration, "_plan", lambda *args: built.append(args))
         monkeypatch.setenv("RIGIDITY_BUDGET", "1")
         code, doc = run_json(
             "enumerate", "--group", ",".join(["2"] * 12), "--workers", workers
@@ -240,7 +240,7 @@ class TestExitCodes:
         # (Z/2)^12 under a budget of 5000: cell 00's 4096 nodes fit, but its
         # 144 cells hold 589,824 candidates, so ``_plan`` never runs
         built = []
-        monkeypatch.setattr(enumeration, "_plan", built.append)
+        monkeypatch.setattr(enumeration, "_plan", lambda *args: built.append(args))
         monkeypatch.setenv("RIGIDITY_BUDGET", "5000")
         code, doc = run_json(
             "enumerate", "--group", ",".join(["2"] * 12), "--workers", workers

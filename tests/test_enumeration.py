@@ -309,8 +309,9 @@ class TestObjectPathOracle:
         # a pool worker pickles its part's tables as nested int tuples,
         # with no library object in them
         moduli = (2, 2, 4)
-        cell = list(enumeration._plan(moduli)[0][2])
-        task = (moduli, cell[1], enumeration.DEFAULT_BUDGET)
+        cells = enumeration._cells(moduli)
+        cell = list(enumeration._plan(moduli, cells)[0][2])
+        task = (moduli, cells, cell[1], enumeration.DEFAULT_BUDGET)
         part = enumeration._part(task)
         tables, nodes = part
         assert tables and nodes
@@ -462,7 +463,7 @@ class TestSchedule:
         # values that must happen at exactly one depth, the deepest of the
         # cells the triple reads: (i, j), (j, l), (s, l) where C[i][j]_s != 0
         # and (i, s) where C[j][l]_s != 0
-        plan = enumeration._plan(moduli)
+        plan = enumeration._plan(moduli, enumeration._cells(moduli))
         order = [cell for cell, *_ in plan]
         sets = [list(itertools.product(*coords)) for _, coords, *_ in plan]
         tests = [solved + tested for *_, solved, tested in plan]
@@ -505,7 +506,7 @@ class TestSchedule:
         # (i, j) or (j, l), else solved, and never both or twice; _part
         # checks cell 00 with its tested entries alone, so step 0 solves none
         r = range(len(moduli))
-        plan = enumeration._plan(moduli)
+        plan = enumeration._plan(moduli, enumeration._cells(moduli))
         assert sorted(cell for cell, *_ in plan) == list(itertools.product(r, r))
         elements = list(all_coords(GroupSpec(moduli)))
         for d, ((i, j), coords, reach_of, solved, tested) in enumerate(plan):
@@ -535,7 +536,7 @@ class TestLinearSolve:
         # triple due at d that reads the cell but not as (i, j) or (j, l);
         # every unfixed cell, (a, b) too, holds None and has reach None, so
         # the solve reads none of them
-        plan = enumeration._plan(moduli)
+        plan = enumeration._plan(moduli, enumeration._cells(moduli))
         order = [cell for cell, *_ in plan]
         sets = [list(itertools.product(*coords)) for _, coords, *_ in plan]
         depth = {cell: d for d, cell in enumerate(order)}
@@ -585,7 +586,7 @@ class TestLinearSolve:
         # every entry of a step is either solved or tested there, not both;
         # each triple is tested at the later of its cells (i, j) and (j, l),
         # where the zero vector, a candidate of every cell, puts it due
-        plan = enumeration._plan((2, 4, 4))
+        plan = enumeration._plan((2, 4, 4), enumeration._cells((2, 4, 4)))
         depth = {cell: d for d, (cell, *_) in enumerate(plan)}
         anchors = set()
         for d, (cell, _, _, solved, tested) in enumerate(plan):
@@ -626,7 +627,7 @@ class TestCanonicalSearch:
         # is the parts with their transposes, sorted
         spec = GroupSpec(moduli)
         config = SearchConfig(workers=workers)
-        parts = list(enumeration._tables(spec, config))
+        parts = list(enumeration._tables(spec, config, enumeration._cells(moduli)))
         assert all(len({t[0][0] for t in part}) == 1 for part in parts)
         cells = [part[0][0][0] for part in parts if part]
         assert cells == sorted(set(cells))
@@ -653,7 +654,7 @@ class TestCanonicalSearch:
 
         def reversed_part(task):
             tables, nodes = part(task)
-            reversed_parts.append(task[1])
+            reversed_parts.append(task[2])
             return tables[::-1], nodes
 
         monkeypatch.setattr(enumeration, "_part", reversed_part)
@@ -662,7 +663,7 @@ class TestCanonicalSearch:
         )
         for workers in (1, 2):
             assert rigidity_report(spec, SearchConfig(workers=workers)) == expected
-        parts = enumeration._set_size(moduli, moduli[0], moduli[0])
+        parts = 2 ** len(moduli)  # cell 00 holds the elements of order 2
         assert len(reversed_parts) == 2 * parts
         assert serial_pool.sizes == [2]
 
@@ -680,12 +681,72 @@ class TestCanonicalSearch:
         for perm in itertools.permutations(range(len(moduli))):
             target = tuple(moduli[t] for t in perm)
             if target not in streams:
-                parts = enumeration._tables(GroupSpec(target), SearchConfig())
+                cells = enumeration._cells(target)
+                parts = enumeration._tables(GroupSpec(target), SearchConfig(), cells)
                 streams[target] = sorted(
                     {u for t in itertools.chain(*parts) for u in (t, transpose(t))}
                 )
             moved = sorted(transport(t, perm) for t in streams[moduli])
             assert moved == streams[target], perm
+
+
+def kept(moduli, cells, workers=1):
+    """The kept tables of the census of ``moduli`` searched on ``cells``."""
+    parts = enumeration._tables(GroupSpec(moduli), SearchConfig(workers), cells)
+    return [t for part in parts for t in part]
+
+
+class TestGivenCells:
+    """The search takes the cell sets it is given: on subsets of the group's
+    own, the same in cells (i, j) and (j, i), it keeps exactly the tables
+    of the full census whose values lie in them, in the same order."""
+
+    CUBE = (2, 2, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "exponents,count", [((1, 1, 2), 340), ((1, 2, 2), 343)], ids=["2,2,4", "2,4,4"]
+    )
+    def test_base_restriction(self, exponents, count, workers):
+        # the base census of a 2-group with these exponents: coordinate s of
+        # cell (i, j) is forced to 0 where e_s > min(e_i, e_j)
+        def forced(i, j, s):
+            return exponents[s] > min(exponents[i], exponents[j])
+
+        order = enumeration._order(3)
+        cells = tuple(
+            tuple(range(1) if forced(i, j, s) else c for s, c in enumerate(cell))
+            for (i, j), cell in zip(order, enumeration._cells(self.CUBE))
+        )
+        zeros = [c for c in itertools.product(range(3), repeat=3) if forced(*c)]
+        full = kept(self.CUBE, enumeration._cells(self.CUBE))
+        expected = [t for t in full if not any(t[i][j][s] for i, j, s in zeros)]
+        assert kept(self.CUBE, cells, workers) == expected
+        assert len(expected) == count
+
+    @pytest.mark.parametrize(
+        "value,count", [((0, 0, 0), 330), ((0, 0, 1), 101), ((1, 0, 0), 402)]
+    )
+    def test_single_value_of_cell_00(self, value, count):
+        # one part: cell 00 holds the one value, every other cell its own set
+        full = enumeration._cells(self.CUBE)
+        cells = (tuple(range(v, v + 1) for v in value),) + full[1:]
+        expected = [t for t in kept(self.CUBE, full) if t[0][0] == value]
+        assert kept(self.CUBE, cells) == expected
+        assert len(expected) == count
+
+    def test_sizes_read_from_lengths(self):
+        # the size of a cell is the product of its ranges' lengths, so a
+        # group of order 2^61 - 1 is sized without building its set
+        start = time.perf_counter()
+        assert search_space_size(GroupSpec((2**61 - 1,))) == 2**61 - 1
+        assert time.perf_counter() - start < 1.0
+        assert enumeration._cells((2, 4)) == (
+            (range(0, 2), range(0, 4, 2)),
+            (range(0, 2), range(0, 4, 2)),
+            (range(0, 2), range(0, 4, 2)),
+            (range(0, 2), range(0, 4)),
+        )
 
 
 class TestDeterminismAndParallelism:
@@ -750,9 +811,10 @@ class TestDeterminismAndParallelism:
         part = enumeration._part
         run = []
         monkeypatch.setattr(
-            enumeration, "_part", lambda task: run.append(task[1]) or part(task)
+            enumeration, "_part", lambda task: run.append(task[2]) or part(task)
         )
-        stream = enumeration._tables(GroupSpec((4, 4)), SearchConfig(workers=2))
+        cells = enumeration._cells((4, 4))
+        stream = enumeration._tables(GroupSpec((4, 4)), SearchConfig(workers=2), cells)
         next(stream)
         stream.close()
         assert serial_pool.mapped == [16]

@@ -11,7 +11,9 @@ import math
 
 import pytest
 
-from ringrigidity import GroupSpec, rigidity_report
+from ringrigidity import GroupSpec, SearchConfig, rigidity_report
+from ringrigidity import enumeration
+from ringrigidity.structures import unit_coords
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,11 +71,34 @@ def maximal_order_elements(moduli):
     )
 
 
+# rank-2 groups past (Z/p)^2, with and without a common prime
+RANK_TWO = [
+    (2, 4), (4, 2), (2, 6), (3, 6), (4, 6), (6, 4), (2, 8), (3, 9), (4, 4),
+    (6, 9), (3, 12), (4, 8), (6, 2), (8, 2), (2, 3), (4, 9),
+]
+
+
 @pytest.mark.parametrize(
     "moduli,per_unit",
-    [((12,), 1), ((30,), 1), ((2, 2), 4), ((3, 3), 9), ((5, 5), 25), ((2, 2, 2), 76)],
+    [((12,), 1), ((30,), 1), ((2, 2), 4), ((3, 3), 9), ((5, 5), 25), ((2, 2, 2), 76)]
+    + [(moduli, math.gcd(*moduli) ** 2) for moduli in RANK_TWO],
 )
 def test_unital_tables_per_unit(moduli, per_unit):
-    # Z/N has one unital table per unit ("nearly rigid"); (Z/p)^2 has p^2,
-    # the rings F_p[x]/(x^2 - bx - a); (Z/p)^3 has p^2 (p^4 + p^2 - 1)
+    # Z/N has one unital table per unit ("nearly rigid"); (Z/p)^3 has
+    # p^2 (p^4 + p^2 - 1). A rank-2 group has gcd(n_1, n_2)^2, (Z/p)^2 the
+    # p^2 rings F_p[x]/(x^2 - bx - a): a unit u has the maximal order d_2,
+    # so Z/d_2 u is a direct summand (Fuchs, "Infinite Abelian Groups" I,
+    # 1970), R = Z/d_2 u + Z/d_1 x with d_1 = gcd(n_1, n_2), and
+    # x^2 = a u + b x takes d_1 values of a (d_1 a = 0) and d_1 of b
     assert census(*moduli)[2] == per_unit * maximal_order_elements(moduli)
+
+
+@pytest.mark.parametrize("moduli", RANK_TWO, ids=lambda m: ",".join(map(str, m)))
+def test_unital_rank_two_tables_commute(moduli):
+    # R = Z/d_2 u + Z/d_1 x is generated by u and x, which commute, so
+    # every unital kept table is its own transpose
+    cells = enumeration._cells(moduli)
+    parts = enumeration._tables(GroupSpec(moduli), SearchConfig(), cells)
+    unital = [t for part in parts for t in part if unit_coords(moduli, t) is not None]
+    assert unital
+    assert all(t == tuple(zip(*t)) for t in unital)

@@ -207,15 +207,23 @@ class TestScaledIdentities:
     def test_suite_runner_draws_m_and_k_from_half_the_window(self, monkeypatch):
         draws = []
 
-        def record(a, n, m, k):
+        def record(mul, a, n, m, k):
             draws.append((n, m, k))
             return None
 
-        monkeypatch.setattr(scaled, "scaled_identity_failure", record)
+        monkeypatch.setattr(scaled, "_identity_failure", record)
         assert scaled_identity_suite(1, 5, samples=500).ok
         assert len(draws) == 500
         assert all(abs(n) <= 5 and abs(m) <= 2 and abs(k) <= 2 for n, m, k in draws)
         assert {m for _, m, _ in draws} == {-2, -1, 0, 1, 2}
+
+    def test_suite_builds_one_closure(self, monkeypatch):
+        # the closure is built once per suite, not once per sample
+        built = []
+        real = scaled.ScaledMult
+        monkeypatch.setattr(scaled, "ScaledMult", lambda a: built.append(a) or real(a))
+        assert scaled_identity_suite(-7, 100, samples=500).ok
+        assert built == [-7]
 
 
 class TestVerifyScaledForm:

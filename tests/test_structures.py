@@ -447,7 +447,7 @@ class TestUnitOracle:
         # Z/1000 has a distinct side for each of its 1000 tables, and on a
         # rank-1 group a side is its one screen, kept once
         spec = GroupSpec((1000,))
-        parts = enumeration._tables(spec, SearchConfig())
+        parts = enumeration._tables(spec, SearchConfig(), enumeration._cells((1000,)))
         tables = [t for part in parts for t in part]
         assert len(tables) == 1000
         structures._masks.clear()
