@@ -13,24 +13,22 @@ The search assigns one cell at a time in the growing-square order
 as soon as every cell it reads is fixed, so a failing partial table is
 cut with all its extensions. The triple reads cells (i, j) and (j, l),
 cell (s, l) where C[i][j]_s != 0 and cell (i, s) where C[j][l]_s != 0.
-The depth of the last of these depends only on the values of cells
-(i, j) and (j, l), so ``_plan`` fixes per depth the triples that
-may fall due there. A due triple that reads the new cell only as (s, l)
-or (i, s) is linear in it, one congruence per coordinate, so it is
-solved: the search tries only the values every such triple admits. A
-node is one value tried in one cell, and it meets the due triples whose
-(i, j) or (j, l) is that cell. The value of cell 00 names a part of the
-search. One loop maps ``_part`` over the parts for every worker count: a
-pool takes ``POOL_CHUNK`` parts per ``imap`` call when it would have more
-than one process (it never has more than parts or the CPUs this process
-may use, and none without ``os.fork``). Its forked workers claim the
-parts one at a time from a pipe of tickets, and the parent takes each
-part's result in task order as it arrives, still pickled while it waits,
-and unpickles it once (``Pool``); else the built-in ``map`` runs one part
-at a time in-process. No thread is started and no module loads
-``multiprocessing``. Each part returns its tables as int tuples in search
-order, which up to rank 2 is row-major order, and the parts come in order
-of cell 00.
+The depth of the last of these depends only on the values of cells (i, j)
+and (j, l), so ``_plan`` fixes per depth the triples that may fall due
+there. A due triple that reads the new cell only as (s, l) or (i, s) is
+linear in it, one congruence per coordinate, so it is solved: the search
+tries only the values every such triple admits. A node is one value tried
+in one cell, and it meets the due triples whose (i, j) or (j, l) is that
+cell. The value of cell 00 names a part of the search. ``_tables`` builds
+the plan once per census, and every part's task carries it. One loop maps
+``_part`` over the parts for every worker count: a ``Pool`` takes
+``POOL_CHUNK`` parts per ``imap`` call when it would have more than one
+process (it never has more than parts or the CPUs this process may use,
+and none without ``os.fork``), and its forked workers inherit the tasks,
+plan included; else the built-in ``map`` runs one part at a time
+in-process. No thread is started and no module loads ``multiprocessing``.
+Each part returns its tables as int tuples in search order, which up to
+rank 2 is row-major order, and the parts come in order of cell 00.
 
 The transpose C'[i][j] = C[j][i] of a table is the table of the opposite
 ring, with the same addition. So the search keeps only the tables that
@@ -45,19 +43,17 @@ in any order. On Z/N every table is symmetric. Every stream's nodes, and
 its budget, are those of the one search.
 
 The census charges the budget per node. A solve runs once per node that
-passes, and its work is bounded by the plan's size. The parent charges
-the nodes of cell 00 from the lengths of its ranges before it builds any
-set, and refuses a plan whose k^2 candidate sets hold more values than
-the budget, from those lengths alone; only cell 00's values are
-nodes, so the others are not spent. It adds the parts' counts in task
-order, raising once the total exceeds the budget. The parts of one call
-share the rest of the budget equally, so a serial part's cap is the whole
-rest.
-A part cut short at a share below the current rest is run again in the
-parent on the whole rest; one cut short at the whole rest needs no second
-run, so a serial run never runs a part twice. So the verdict is the same
-for every worker count, and a pool does at most about twice the budget's
-work before it.
+passes, and its work is bounded by the plan's size. The parent charges the
+nodes of cell 00 from the lengths of its ranges before it builds any set,
+and refuses a plan whose k^2 candidate sets hold more values than the
+budget, from those lengths alone; only cell 00's values are nodes, so the
+others are not spent. It adds the parts' counts in task order, raising
+once the total exceeds the budget. The parts of one call share the rest of
+the budget equally, so a serial part's cap is the whole rest. A part cut
+short at a share below the current rest is run again in the parent on the
+whole rest; one cut short at the whole rest needs no second run, so a
+serial run never runs a part twice. So every worker count gives the same
+verdict, and a pool does at most about twice the budget's work before it.
 
 The Z/N census is ``classify_cyclic``: it compares each table's
 ``product_row``s with the closed form n*m = scale*n*m, raising on a
@@ -94,14 +90,14 @@ POOL_CHUNK = 256  # parts per pool.imap call, so the parent's task list is bound
 
 
 class SearchConfig(Frozen):
-    """Execution settings of the census; both are positive."""
+    """Execution settings of the census; both are positive ints."""
 
     __slots__ = ("workers", "budget")
 
     def __init__(self, workers: int = 1, budget: int = DEFAULT_BUDGET) -> None:
         for name, value in (("workers", workers), ("budget", budget)):
-            if value < 1:
-                raise UsageError(f"search config {name} must be positive")
+            if not isinstance(value, int) or value < 1:
+                raise UsageError(f"search config {name} must be a positive int")
             object.__setattr__(self, name, value)
 
 
@@ -290,8 +286,8 @@ def _reach(x: tuple[int, ...]) -> int:
     return max((s + 1 for s, c in enumerate(x) if c), default=0)
 
 
-@functools.lru_cache(maxsize=16)
-def _plan(moduli: tuple[int, ...], cells: tuple) -> tuple[tuple, ...]:
+@functools.lru_cache(maxsize=16)  # for a repeated census of the same cells
+def _plan(cells: tuple) -> tuple[tuple, ...]:
     """Per depth d, the step (cell, coords, reach_of, solved, tested).
 
     ``cell`` is the d-th cell of ``_order``, (i, j), and ``coords`` is
@@ -310,9 +306,9 @@ def _plan(moduli: tuple[int, ...], cells: tuple) -> tuple[tuple, ...]:
     one reach for both when the two cells are one (i == j == l). The entry
     is ``tested`` at d if the cell there is its (i, j) or (j, l), and
     ``solved`` otherwise: it reads that cell only as (s, l) or (i, s), so
-    it is linear in it.
+    it is linear in it. ``_tables`` builds it once per census.
     """
-    k = len(moduli)
+    k = len(cells[0])
     order = _order(k)
     depth = {cell: d for d, cell in enumerate(order)}
     reach_of = [{x: _reach(x) for x in itertools.product(*c)} for c in cells]
@@ -375,8 +371,8 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     """The tables with one value of cell 00 that are at most their
     transpose, as int tuples in search order, and the nodes visited.
 
-    task = (moduli, cells, value of cell 00, cap), ``cells`` as ``_plan``
-    takes them. A node is one value tried in one cell after cell 00; past
+    task = (moduli, plan, value of cell 00, cap), the plan ``_tables``
+    built. A node is one value tried in one cell after cell 00; past
     ``cap`` nodes the search stops and reports cap + 1. On entering a depth
     the search solves the ``solved`` entries of that depth's step whose due
     depth, looked up from the reaches of the cells fixed so far, is that
@@ -392,8 +388,7 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     the product, and never makes them nodes. Cell 00 closes no mirror pair,
     so every part starts tied.
     """
-    moduli, cells, value, cap = task
-    plan = _plan(moduli, cells)
+    moduli, plan, value, cap = task
     checks_at = [list(tested) for *_, tested in plan]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
@@ -444,18 +439,19 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     return found, nodes
 
 
-def _tables(spec: GroupSpec, config: SearchConfig, cells) -> Iterator[list[tuple]]:
+def _tables(spec: GroupSpec, config: SearchConfig, cells=None) -> Iterator[list[tuple]]:
     """Every associative table on the group with values in ``cells`` (as
-    ``_plan`` takes them) that is at most its transpose, exactly once, as
-    coordinate tuples: one list per value of cell 00.
+    ``_plan`` takes them; by default ``_cells``, built after the order cap)
+    that is at most its transpose, exactly once, as coordinate tuples: one
+    list per value of cell 00.
 
     The parts come in order of cell 00, each in search order, which is
-    lexicographic only up to rank 2. Every node of the search is
-    charged against the budget, and the search raises once the count
-    exceeds it. The nodes of cell 00 are charged from its ranges' lengths
-    alone, before any candidate set is built, and a plan whose sets hold
-    more values than the budget is refused before ``_plan`` builds them. A
-    pool streams ``_part``'s results through ``Pool.imap``, so the parent
+    lexicographic only up to rank 2. Every node is charged against the
+    budget, and the search raises once the count exceeds it. Cell 00's
+    nodes are charged from its ranges' lengths, before any candidate set
+    is built, and a plan whose sets hold more values than the budget is
+    refused before ``_plan`` builds it, once; every task carries the plan.
+    A pool streams ``_part``'s results through ``Pool.imap``, so the parent
     unpickles one part's tables at a time, each once.
     """
     if spec.order > GROUP_ORDER_CAP:
@@ -464,6 +460,7 @@ def _tables(spec: GroupSpec, config: SearchConfig, cells) -> Iterator[list[tuple
         )
     budget = config.budget
     moduli = spec.moduli
+    cells = cells or _cells(moduli)
     parts = math.prod(map(len, cells[0]))  # one per value of cell 00
     spent = 0
 
@@ -481,7 +478,8 @@ def _tables(spec: GroupSpec, config: SearchConfig, cells) -> Iterator[list[tuple
     # values are nodes yet
     sets = sum(math.prod(map(len, cell)) for cell in cells)
     charge(sets, budget, f"candidate cell values in the census plan of {spec}")
-    values = itertools.product(*_plan(moduli, cells)[0][1])  # built before a fork
+    plan = _plan(cells)
+    values = itertools.product(*cells[0])
     if not hasattr(os, "fork"):
         cpus = 1  # no pool without fork: the parts run in-process
     elif hasattr(os, "sched_getaffinity"):
@@ -495,11 +493,11 @@ def _tables(spec: GroupSpec, config: SearchConfig, cells) -> Iterator[list[tuple
         run = map if pool is None else getattr(pool, "imap", None) or pool.map
         for chunk in iter(lambda: list(itertools.islice(values, size)), []):
             share = (budget - spent) // len(chunk)
-            tasks = [(moduli, cells, value, share) for value in chunk]
+            tasks = [(moduli, plan, value, share) for value in chunk]
             # results first, so a pool's imap is resumed past its last result
             for (tables, nodes), value in zip(run(_part, tasks), chunk):
                 if nodes > share and share < budget - spent:  # cut short below the rest
-                    tables, nodes = _part((moduli, cells, value, budget - spent))
+                    tables, nodes = _part((moduli, plan, value, budget - spent))
                 spend(nodes)
                 yield tables
 
@@ -515,7 +513,7 @@ def enumerate_multiplications(
     """
     return (
         RingStructure(StructureConstants(spec, t))
-        for part in _tables(spec, config, _cells(spec.moduli))
+        for part in _tables(spec, config)
         for t in sorted({*part, *(tuple(zip(*c)) for c in part)})
     )
 
@@ -566,7 +564,7 @@ def classify_cyclic(
     residues = [(m,) for m in range(n)]
     closed = [[residues[c * m % n] for m in range(n)] for c in range(n)]
     entries = []
-    for (table,) in _tables(spec, config, _cells(spec.moduli)):  # a part is one table
+    for (table,) in _tables(spec, config):  # a part is one table
         scale = table[0][0][0]
         mult = StructureConstants(spec, table)
         for x in range(n):
@@ -603,7 +601,7 @@ def rigidity_report(
     else:
         total = commutative = unital = 0
         smallest = []
-        parts = _tables(spec, config, _cells(spec.moduli))
+        parts = _tables(spec, config)
         for table in itertools.chain.from_iterable(parts):
             transpose = tuple(zip(*table))
             symmetric = table == transpose  # by bilinearity, commutativity

@@ -309,9 +309,9 @@ class TestObjectPathOracle:
         # a pool worker pickles its part's tables as nested int tuples,
         # with no library object in them
         moduli = (2, 2, 4)
-        cells = enumeration._cells(moduli)
-        cell = list(enumeration._plan(moduli, cells)[0][2])
-        task = (moduli, cells, cell[1], enumeration.DEFAULT_BUDGET)
+        plan = enumeration._plan(enumeration._cells(moduli))
+        cell = list(plan[0][2])
+        task = (moduli, plan, cell[1], enumeration.DEFAULT_BUDGET)
         part = enumeration._part(task)
         tables, nodes = part
         assert tables and nodes
@@ -463,7 +463,7 @@ class TestSchedule:
         # values that must happen at exactly one depth, the deepest of the
         # cells the triple reads: (i, j), (j, l), (s, l) where C[i][j]_s != 0
         # and (i, s) where C[j][l]_s != 0
-        plan = enumeration._plan(moduli, enumeration._cells(moduli))
+        plan = enumeration._plan(enumeration._cells(moduli))
         order = [cell for cell, *_ in plan]
         sets = [list(itertools.product(*coords)) for _, coords, *_ in plan]
         tests = [solved + tested for *_, solved, tested in plan]
@@ -506,7 +506,7 @@ class TestSchedule:
         # (i, j) or (j, l), else solved, and never both or twice; _part
         # checks cell 00 with its tested entries alone, so step 0 solves none
         r = range(len(moduli))
-        plan = enumeration._plan(moduli, enumeration._cells(moduli))
+        plan = enumeration._plan(enumeration._cells(moduli))
         assert sorted(cell for cell, *_ in plan) == list(itertools.product(r, r))
         elements = list(all_coords(GroupSpec(moduli)))
         for d, ((i, j), coords, reach_of, solved, tested) in enumerate(plan):
@@ -525,6 +525,41 @@ class TestSchedule:
             assert not any((i, j) in (e[:2], e[1:3]) for e in solved), (i, j)
             assert d or solved == (), (i, j)
 
+    @pytest.mark.parametrize("moduli", [(6,), (4, 4), (2, 2, 2)])
+    def test_one_plan_per_census(self, monkeypatch, moduli):
+        # ``_tables`` builds the plan once and every part takes it from its
+        # task, so no part looks it up again
+        plan = enumeration._plan
+        built = []
+        monkeypatch.setattr(
+            enumeration, "_plan", lambda *args: built.append(args) or plan(*args)
+        )
+        rigidity_report(GroupSpec(moduli), SearchConfig(workers=1))
+        assert built == [(enumeration._cells(moduli),)]
+
+    def test_parent_rerun_takes_the_one_plan(self, monkeypatch):
+        # on 2,2,4 at its 64,333 nodes a two-worker share cuts the largest
+        # part short, so the parent runs it again, with the plan of its task
+        plan = enumeration._plan
+        built = []
+        monkeypatch.setattr(
+            enumeration, "_plan", lambda *args: built.append(args) or plan(*args)
+        )
+        part = enumeration._part
+        plans = []
+        monkeypatch.setattr(
+            enumeration, "_part", lambda task: plans.append(task[1]) or part(task)
+        )
+        monkeypatch.setattr(
+            enumeration.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False
+        )
+        install_pool(monkeypatch, MapPool)
+        config = SearchConfig(workers=2, budget=64_333)
+        assert rigidity_report(GroupSpec((2, 2, 4)), config).total == 4864
+        assert len(built) == 1
+        assert len(plans) > 8  # the 8 parts and at least one re-run
+        assert all(p is plans[0] for p in plans)
+
 
 class TestLinearSolve:
     @pytest.mark.parametrize(
@@ -536,7 +571,7 @@ class TestLinearSolve:
         # triple due at d that reads the cell but not as (i, j) or (j, l);
         # every unfixed cell, (a, b) too, holds None and has reach None, so
         # the solve reads none of them
-        plan = enumeration._plan(moduli, enumeration._cells(moduli))
+        plan = enumeration._plan(enumeration._cells(moduli))
         order = [cell for cell, *_ in plan]
         sets = [list(itertools.product(*coords)) for _, coords, *_ in plan]
         depth = {cell: d for d, cell in enumerate(order)}
@@ -586,7 +621,7 @@ class TestLinearSolve:
         # every entry of a step is either solved or tested there, not both;
         # each triple is tested at the later of its cells (i, j) and (j, l),
         # where the zero vector, a candidate of every cell, puts it due
-        plan = enumeration._plan((2, 4, 4), enumeration._cells((2, 4, 4)))
+        plan = enumeration._plan(enumeration._cells((2, 4, 4)))
         depth = {cell: d for d, (cell, *_) in enumerate(plan)}
         anchors = set()
         for d, (cell, _, _, solved, tested) in enumerate(plan):
@@ -1037,10 +1072,28 @@ class TestCapsAndBudget:
         with pytest.raises(CapacityError):
             next(enumerate_multiplications(GroupSpec((10_001,))))
 
-    def test_nonpositive_config_rejected(self):
-        from ringrigidity import UsageError
+    def test_order_cap_precedes_cell_sets(self, monkeypatch):
+        # (Z/2)^14 has order 16,384, over the cap: refused before ``_cells``
+        # builds its 14^3 ranges
+        built = []
+        monkeypatch.setattr(enumeration, "_cells", lambda *args: built.append(args))
+        spec = GroupSpec((2,) * 14)
+        with pytest.raises(CapacityError, match="group order 16384 exceeds"):
+            rigidity_report(spec)
+        with pytest.raises(CapacityError, match="group order 16384 exceeds"):
+            list(enumerate_multiplications(spec))
+        assert built == []
 
-        with pytest.raises(UsageError):
-            SearchConfig(budget=0)
-        with pytest.raises(UsageError):
-            SearchConfig(workers=0)
+    def test_nonpositive_config_rejected(self):
+        # a value that is not an int is refused too, not passed on to the
+        # pool or the budget comparison
+        for kwargs in (
+            {"budget": 0},
+            {"workers": 0},
+            {"workers": 1.5},
+            {"workers": 2.5},
+            {"budget": "9"},
+            {"budget": 9.0},
+        ):
+            with pytest.raises(UsageError, match="must be a positive int"):
+                SearchConfig(**kwargs)
