@@ -19,14 +19,15 @@ there. A due triple that reads the new cell only as (s, l) or (i, s) is
 linear in it, one congruence per coordinate, so it is solved: the search
 tries only the values every such triple admits. A node is one value tried
 in one cell, and it meets the due triples whose (i, j) or (j, l) is that
-cell. The value of cell 00 names a part of the search. ``_tables`` builds
-the plan once per census, and every part's task carries it. One loop maps
-``_part`` over the parts for every worker count: a ``Pool`` takes
-``POOL_CHUNK`` parts per ``imap`` call when it would have more than one
-process (it never has more than parts or the CPUs this process may use,
-and none without ``os.fork``), and its forked workers inherit the tasks,
-plan included; else the built-in ``map`` runs one part at a time
-in-process. No thread is started and no module loads ``multiprocessing``.
+cell, in the plan's order. The value of cell 00 names a part of the
+search. ``_tables`` builds the plan once per census, and every part's task
+carries it. One loop maps ``_part`` over the parts for every worker count:
+a ``Pool`` takes ``POOL_CHUNK`` parts per ``imap`` call when it would have
+more than one process (it never has more than parts or the CPUs this
+process may use, and none without ``os.fork``), and its forked workers
+inherit the tasks, plan included; else the built-in ``map`` runs one part
+at a time in-process. No thread is started and no module loads
+``multiprocessing``.
 Each part returns its tables as int tuples in search order, which up to
 rank 2 is row-major order, and the parts come in order of cell 00.
 
@@ -101,15 +102,12 @@ class SearchConfig(Frozen):
             object.__setattr__(self, name, value)
 
 
-_TICKET = 2  # bytes of one ticket, a task index below 2**16
-
-
 class Pool:
     """``processes`` forked workers per ``imap`` call, with no threads: a
     context manager whose ``imap(fn, tasks)`` yields results in task order.
 
-    The parent writes the task indices as fixed-width tickets to one pipe
-    and closes it, then forks the workers. A worker claims one ticket at a
+    The parent writes the task indices as one-byte tickets to one pipe and
+    closes it, then forks the workers. A worker claims one ticket at a
     time (reads this small are atomic), runs ``fn`` on the task list it
     inherited, so no task is pickled, and writes the index and pickled
     result on its own pipe (``_work``). The parent only reads: it polls the
@@ -140,14 +138,13 @@ class Pool:
         import select
 
         tasks = list(tasks)
-        if len(tasks) > POOL_CHUNK:  # so the tickets fit in the pipe unread
+        if len(tasks) > POOL_CHUNK:  # one-byte indices that the pipe holds unread
             raise UsageError(f"a pool call takes at most {POOL_CHUNK} tasks")
         self._workers = workers = {}
         held: dict[int, bytearray] = {}  # results that came before their turn
         poll = select.poll()
         tickets, feed = os.pipe()
-        ticket_bytes = (i.to_bytes(_TICKET, "little") for i in range(len(tasks)))
-        os.write(feed, b"".join(ticket_bytes))
+        os.write(feed, bytes(range(len(tasks))))
         os.close(feed)
         try:
             try:
@@ -186,8 +183,8 @@ def _work(fn, tasks: list, tickets: int, into: int) -> None:
 
     code = 1
     try:
-        while ticket := os.read(tickets, _TICKET):
-            index = int.from_bytes(ticket, "little")
+        while ticket := os.read(tickets, 1):
+            index = ticket[0]
             try:
                 record = pickle.dumps((True, fn(tasks[index])))
             except Exception as exc:
@@ -377,10 +374,9 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     the search solves the ``solved`` entries of that depth's step whose due
     depth, looked up from the reaches of the cells fixed so far, is that
     depth, and tries only the values they admit, in lexicographic order.
-    Each tried value then meets the due entries of ``tested``, so each
-    triple is checked once per path. A failing tested triple moves to the
-    front of its list, so the triple that cuts most is tried first. Cell 00
-    meets the tested entries of depth 0 alike, and none is solved there; a
+    Each tried value then meets the due entries of ``tested``, in the
+    plan's order, so each triple is checked once per path. Cell 00 meets
+    the tested entries of depth 0 alike, and none is solved there; a
     failing value of it returns no tables and no nodes.
 
     While every mirror pair so far is symmetric (``tied``), cell (a, b)
@@ -389,7 +385,6 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     so every part starts tied.
     """
     moduli, plan, value, cap = task
-    checks_at = [list(tested) for *_, tested in plan]
     k = len(moduli)
     table = [[None] * k for _ in range(k)]
     reach = [[0] * k for _ in range(k)]
@@ -399,13 +394,10 @@ def _part(task: tuple) -> tuple[list[tuple], int]:
     nodes = 0
 
     def passes(depth: int) -> bool:
-        checks = checks_at[depth]
-        for n, (i, j, l, due) in enumerate(checks):
+        for i, j, l, due in plan[depth][4]:
             if due[reach[i][j]][reach[j][l]] == depth and not associative_triple(
                 moduli, table, i, j, l
             ):
-                if n:
-                    checks.insert(0, checks.pop(n))  # tried first next time
                 return False
         return True
 

@@ -560,6 +560,42 @@ class TestSchedule:
         assert len(plans) > 8  # the 8 parts and at least one re-run
         assert all(p is plans[0] for p in plans)
 
+    @staticmethod
+    def flipped(plan):
+        """The plan with every step's tested entries in reverse order."""
+        assert any(len(tested) > 1 for *_, tested in plan)
+        return tuple((*step[:4], step[4][::-1]) for step in plan)
+
+    @pytest.mark.parametrize("moduli", [(2, 2), (3, 3), (4, 4), (2, 2, 2)])
+    def test_check_order_decides_nothing(self, moduli):
+        # a node passes when every tested entry due at it holds, in any
+        # order, so every part finds the same tables in the same order and
+        # visits the same nodes on the plan with its tested entries reversed
+        plan = enumeration._plan(enumeration._cells(moduli))
+        flipped = self.flipped(plan)
+        budget = enumeration.DEFAULT_BUDGET
+        for value in itertools.product(*plan[0][1]):
+            part = enumeration._part((moduli, plan, value, budget))
+            assert enumeration._part((moduli, flipped, value, budget)) == part, value
+
+    def test_check_order_keeps_a_cut_part(self):
+        # a node is counted and capped before it is tested, so a part that
+        # its cap cuts mid-search (the largest of 2,2,4, 23,135 nodes in
+        # full) reads cap + 1 nodes and the same tables in either order
+        moduli, value, cap = (2, 2, 4), (0, 0, 0), 10_000
+        plan = enumeration._plan(enumeration._cells(moduli))
+        whole, nodes = enumeration._part((moduli, plan, value, 10**6))
+        assert nodes == 23_135
+        cut = [
+            enumeration._part((moduli, steps, value, cap))
+            for steps in (plan, self.flipped(plan))
+        ]
+        assert cut[0] == cut[1]
+        tables, nodes = cut[0]
+        assert nodes == cap + 1
+        assert 0 < len(tables) < len(whole)
+        assert tables == whole[: len(tables)]
+
 
 class TestLinearSolve:
     @pytest.mark.parametrize(
