@@ -7,50 +7,17 @@ a scaled product a*n*m (unital only at a = +-1), on Z/N the census finds
 exactly N multiplications, and on matrix groups two genuinely different
 ring structures share one addition.
 
-The census modules are imported with the package. The public names of
-``scaled`` and ``matrices``, which no census runs, are served on first
-use through a module ``__getattr__`` (PEP 562), so a census command
-never loads either module. Each lookup reads the submodule's current
-binding; the package keeps no copy of it.
+Only ``errors`` is imported with the package. Every other public name is
+served on first use through a module ``__getattr__`` (PEP 562), so a
+command loads only the modules it runs. Each lookup reads the
+submodule's current binding; the package keeps no copy of it.
 """
 
-from .abelian import (
-    DEFAULT_ELEMENT_CAP,
-    INT_CAPACITY,
-    GroupElement,
-    GroupSpec,
-    IntegerWindow,
-    add,
-    all_elements,
-    checked,
-    element_order,
-    scalar_mul,
-)
-from .enumeration import (
-    CyclicClassification,
-    RigidityReport,
-    SearchConfig,
-    classify_cyclic,
-    enumerate_multiplications,
-    expand_to_full_table,
-    full_table_oracle,
-    rigidity_report,
-    search_space_size,
-)
 from .errors import (
     CapacityError,
     IntegerOverflowError,
     InvariantViolation,
     UsageError,
-)
-from .structures import (
-    RingStructure,
-    StructureConstants,
-    check_associativity,
-    check_commutativity,
-    check_distributivity_blackbox,
-    cyclic_constants,
-    find_unit,
 )
 
 __version__ = "0.1.0"
@@ -59,32 +26,39 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
+        "abelian": (
+            "DEFAULT_ELEMENT_CAP", "INT_CAPACITY", "GroupElement", "GroupSpec",
+            "IntegerWindow", "add", "all_elements", "checked", "element_order",
+            "scalar_mul",
+        ),
+        "enumeration": (
+            "CyclicClassification", "RigidityReport", "SearchConfig",
+            "classify_cyclic", "enumerate_multiplications", "expand_to_full_table",
+            "full_table_oracle", "rigidity_report", "search_space_size",
+        ),
         "matrices": (
-            "HADAMARD",
-            "STANDARD",
-            "MatrixElement",
-            "all_matrices",
-            "mat_add",
-            "mat_mul_hadamard",
-            "mat_mul_standard",
-            "noncommutativity_witness",
+            "HADAMARD", "STANDARD", "MatrixElement", "all_matrices", "mat_add",
+            "mat_mul_hadamard", "mat_mul_standard", "noncommutativity_witness",
             "unit_matrix",
         ),
         "scaled": (
-            "ScaledMult",
-            "check_scaled_unitality",
-            "extract_scale",
-            "find_pm1_violation",
-            "find_unit_windowed",
-            "scale_ring",
-            "scaled_unit_sweep",
-            "unit_of_scaled",
-            "usual_cyclic_ring",
+            "ScaledMult", "check_scaled_unitality", "extract_scale",
+            "find_pm1_violation", "find_unit_windowed", "scale_ring",
+            "scaled_unit_sweep", "unit_of_scaled", "usual_cyclic_ring",
             "verify_scaled_form",
+        ),
+        "structures": (
+            "RingStructure", "StructureConstants", "check_associativity",
+            "check_commutativity", "check_distributivity_blackbox",
+            "cyclic_constants", "find_unit",
         ),
     }.items()
     for name in names
 }
+
+# a star import gives every public name, so it loads every module
+__all__ = ["CapacityError", "IntegerOverflowError", "InvariantViolation", "UsageError"]
+__all__ += sorted(_LAZY)
 
 
 def __getattr__(name: str):

@@ -11,9 +11,10 @@ overflow, 5 failed internal invariant (a bug, never user error). Every
 failure prints the same envelope with status "error" and the reason in
 payload.message. All numbers in the payload are exact integers.
 
-Every call is a fresh process, so the module imports only what the census
-commands run: the ``verify-scaled``, ``scaled-units`` and ``matrix-demo``
-handlers import ``scaled`` or ``matrices`` when they run.
+Every call is a fresh process, so the module imports only the standard
+library and ``errors``, and each handler imports the modules of its own
+command when it runs: building the parser, ``--help`` and a usage error
+load none of them.
 """
 
 from __future__ import annotations
@@ -25,24 +26,14 @@ import os
 import sys
 import time
 
-from .abelian import GroupSpec, IntegerWindow
-from .enumeration import (
-    DEFAULT_BUDGET,
-    FULL_TABLE_CAP,
-    SearchConfig,
-    charge,
-    classify_cyclic,
-    expand_to_full_table,
-    full_table_oracle,
-    rigidity_report,
-)
 from .errors import (
+    DEFAULT_BUDGET,
     CapacityError,
     IntegerOverflowError,
     InvariantViolation,
     UsageError,
+    charge,
 )
-from .structures import cyclic_constants
 
 BUDGET_ENV_VAR = "RIGIDITY_BUDGET"
 
@@ -69,20 +60,19 @@ def _budget() -> int:
     return budget
 
 
-def _group_json(spec: GroupSpec) -> dict:
-    return {
-        "moduli": list(spec.moduli),
-        "order": spec.order,
-        "cyclic": spec.is_cyclic,
-    }
-
-
 def _run_enumerate(args) -> tuple[dict, dict]:
+    from . import enumeration
+    from .abelian import GroupSpec
+
     spec = GroupSpec.parse(args.group)
-    config = SearchConfig(workers=args.workers, budget=_budget())
-    report = rigidity_report(spec, config)
+    config = enumeration.SearchConfig(workers=args.workers, budget=_budget())
+    report = enumeration.rigidity_report(spec, config)
     payload = {
-        "group": _group_json(spec),
+        "group": {
+            "moduli": list(spec.moduli),
+            "order": spec.order,
+            "cyclic": spec.is_cyclic,
+        },
         "total": report.total,
         "commutative": report.commutative_count,
         "unital": report.unital_count,
@@ -112,21 +102,25 @@ def _scale_rows(modulus: int, pairs) -> tuple[list[dict], list[int]]:
 
 
 def _run_classify(args) -> tuple[dict, dict]:
+    from . import enumeration
+    from .structures import cyclic_constants
+
     modulus = args.modulus
-    config = SearchConfig(budget=_budget())
-    entries = classify_cyclic(modulus, config)
+    config = enumeration.SearchConfig(budget=_budget())
+    entries = enumeration.classify_cyclic(modulus, config)
     rows, unital_scales = _scale_rows(modulus, ((e.scale, e.unit) for e in entries))
     payload = {
         "modulus": modulus,
         "candidates": rows,
         "unital_scales": unital_scales,
     }
-    if modulus <= FULL_TABLE_CAP:
+    if modulus <= enumeration.FULL_TABLE_CAP:
         # the raw oracle meets the kernel's own expansion of each census table
         classified = frozenset(
-            expand_to_full_table(cyclic_constants(modulus, e.scale)) for e in entries
+            enumeration.expand_to_full_table(cyclic_constants(modulus, e.scale))
+            for e in entries
         )
-        oracle = full_table_oracle(modulus)
+        oracle = enumeration.full_table_oracle(modulus)
         payload["oracle"] = "agree" if oracle == classified else "disagree"
     return {"modulus": modulus}, payload
 
@@ -144,6 +138,7 @@ def _verify_scaled_work(samples: int, bound: int) -> int:
 
 def _run_verify_scaled(args) -> tuple[dict, dict]:
     from . import scaled
+    from .abelian import IntegerWindow
 
     a = args.a
     samples = scaled.IDENTITY_SAMPLES if args.samples is None else args.samples
@@ -239,6 +234,7 @@ def _scaled_units_work(modulus: int) -> int:
 
 def _run_scaled_units(args) -> tuple[dict, dict]:
     from . import scaled
+    from .abelian import GroupSpec
 
     modulus = args.modulus
     GroupSpec((modulus,))  # an invalid modulus is a usage error first

@@ -60,9 +60,9 @@ The Z/N census is ``classify_cyclic``: it compares each table's
 ``product_row``s with the closed form n*m = scale*n*m, raising on a
 mismatch, and ``rigidity_report`` on Z/N summarises its entries.
 
-``charge`` is the up-front budget gate of the other work: a Z/N census
-charges the N rings x N^2 products of that check, and the CLI the work
-bounds of its other commands, all before any work starts.
+``charge`` (in ``errors``) is the up-front budget gate of the other work:
+a Z/N census charges the N rings x N^2 products of that check, and the
+CLI the work bounds of its other commands, all before any work starts.
 
 ``full_table_oracle`` is the independent cross-check: it enumerates raw
 N x N Cayley tables with no structure-constant machinery at all and keeps
@@ -80,11 +80,11 @@ import os
 from typing import Iterator, NamedTuple, Optional
 
 from .abelian import Frozen, GroupSpec
-from .errors import CapacityError, InvariantViolation, UsageError
+from .errors import DEFAULT_BUDGET, CapacityError, InvariantViolation, UsageError
+from .errors import charge
 from .structures import RingStructure, StructureConstants, associative_triple
 from .structures import unit_coords
 
-DEFAULT_BUDGET = 10**8
 GROUP_ORDER_CAP = 10_000
 FULL_TABLE_CAP = 3
 POOL_CHUNK = 256  # parts per pool.imap call, so the parent's task list is bounded
@@ -241,12 +241,6 @@ def _stop(workers: dict) -> None:
     for _, pid, _ in workers.values():
         os.waitpid(pid, 0)
     workers.clear()
-
-
-def charge(work: int, budget: int, what: str) -> None:
-    """Refuse work up front when it exceeds the budget; ``what`` names its unit."""
-    if work > budget:
-        raise CapacityError(f"{work} {what}, over the budget of {budget}")
 
 
 def _order(k: int) -> list[tuple[int, int]]:

@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the work budget.
 
 The CLI maps these onto its exit-code contract: usage errors exit 2,
 capacity errors exit 3, overflow errors exit 4, invariant violations
 exit 5.
 """
+
+DEFAULT_BUDGET = 10**8
 
 
 class UsageError(ValueError):
@@ -12,6 +14,12 @@ class UsageError(ValueError):
 
 class CapacityError(RuntimeError):
     """A fixed cap or the search budget would be exceeded."""
+
+
+def charge(work: int, budget: int, what: str) -> None:
+    """Refuse work up front when it exceeds the budget; ``what`` names its unit."""
+    if work > budget:
+        raise CapacityError(f"{work} {what}, over the budget of {budget}")
 
 
 class IntegerOverflowError(ArithmeticError):

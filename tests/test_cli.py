@@ -694,7 +694,7 @@ class TestScaleRows:
         def short(n):
             return frozenset(sorted(original(n))[1:])
 
-        monkeypatch.setattr(cli, "full_table_oracle", short)
+        monkeypatch.setattr(enumeration, "full_table_oracle", short)
         code, doc = run_json("classify", "--modulus", str(modulus))
         assert code == 0
         assert doc["payload"]["oracle"] == "disagree"
@@ -740,9 +740,29 @@ import ringrigidity.cli
 out = io.StringIO()
 ringrigidity.cli.run(sys.argv[1:], stdout=out)
 watched = {"dataclasses", "multiprocessing", "random"}
-watched |= {"ringrigidity.scaled", "ringrigidity.matrices"}
+watched |= {"ringrigidity." + name for name in
+            ("abelian", "enumeration", "matrices", "scaled", "structures")}
 print(json.dumps(sorted(watched & set(sys.modules))))
 sys.stdout.write(out.getvalue())
+"""
+
+
+CENSUS_MODULES = [
+    "ringrigidity.abelian", "ringrigidity.enumeration", "ringrigidity.structures",
+]
+
+# run in a fresh interpreter with the CLI arguments of a run that argparse
+# ends: prints its exit code and the package's loaded submodules last
+PARSE_PROBE = """
+import json, sys
+import ringrigidity.cli
+code = None
+try:
+    ringrigidity.cli.run(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.startswith("ringrigidity."))
+print(json.dumps([code, loaded]))
 """
 
 
@@ -802,21 +822,29 @@ class TestEntryPoint:
         "argv, workers, loaded",
         [
             # the census commands load neither scaled nor matrices, nor random
-            (["enumerate", "--group", "2,2"], ["--workers", "1"], []),
+            (["enumerate", "--group", "2,2"], ["--workers", "1"], CENSUS_MODULES),
             # a pool forks its workers: it loads neither multiprocessing nor random
-            (["enumerate", "--group", "3,3"], ["--workers", "2"], []),
-            (["classify", "--modulus", "6"], [], []),
-            # the other commands load their own module, and random where they draw
+            (["enumerate", "--group", "3,3"], ["--workers", "2"], CENSUS_MODULES),
+            (["classify", "--modulus", "6"], [], CENSUS_MODULES),
+            # the other commands load their own module, and random where they
+            # draw; the scaled ones never load enumeration, and matrix-demo
+            # loads neither structures nor enumeration
             (
                 ["verify-scaled", "--a", "2", "--bound", "5"],
                 [],
-                ["random", "ringrigidity.scaled"],
+                ["random", "ringrigidity.abelian", "ringrigidity.scaled",
+                 "ringrigidity.structures"],
             ),
-            (["scaled-units", "--modulus", "6"], [], ["ringrigidity.scaled"]),
+            (
+                ["scaled-units", "--modulus", "6"],
+                [],
+                ["ringrigidity.abelian", "ringrigidity.scaled",
+                 "ringrigidity.structures"],
+            ),
             (
                 ["matrix-demo", "--n", "2", "--mod", "5"],
                 [],
-                ["random", "ringrigidity.matrices"],
+                ["random", "ringrigidity.abelian", "ringrigidity.matrices"],
             ),
         ],
         ids=[
@@ -830,6 +858,17 @@ class TestEntryPoint:
         reported, output = proc.stdout.split("\n", 1)
         assert json.loads(reported) == loaded
         assert output == run_cli(*argv)[1]  # in this process, on one worker
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["enumerate", "--group", "2,2", "--workers", "x"], 2)],
+        ids=["help", "usage-error"],
+    )
+    def test_parser_exit_loads_no_census_module(self, argv, code):
+        # argparse ends the run before any handler imports its modules
+        proc = fresh_interpreter("-c", PARSE_PROBE, *argv)
+        reported = json.loads(proc.stdout.splitlines()[-1])
+        assert reported == [code, ["ringrigidity.cli", "ringrigidity.errors"]]
 
     def test_pool_workers_never_flush_the_parent(self):
         # forked workers inherit the buffered line but leave by os._exit
@@ -921,6 +960,12 @@ class TestPackageNames:
         assert ScaledMult is scaled.ScaledMult
         assert MatrixElement is matrices.MatrixElement
 
+    def test_all_lists_every_name(self):
+        # a star import gives every public name, as each is served lazily
+        assert sorted(ringrigidity.__all__) == sorted(
+            set().union(*PUBLIC_NAMES.values())
+        )
+
     def test_unknown_name(self):
         assert not hasattr(ringrigidity, "no_such_name")
         with pytest.raises(AttributeError, match="no_such_name"):
@@ -935,19 +980,23 @@ class TestPackageNames:
         # no copy in the package: a rebinding in the submodule is seen
         monkeypatch.setattr(scaled, "scale_ring", len)
         monkeypatch.setattr(matrices, "unit_matrix", len)
+        monkeypatch.setattr(enumeration, "rigidity_report", len)
         assert ringrigidity.scale_ring is len
         assert ringrigidity.unit_matrix is len
+        assert ringrigidity.rigidity_report is len
 
-    def test_import_loads_neither_scaled_nor_matrices(self):
+    def test_import_loads_only_errors(self):
+        # the package imports errors alone, and the CLI module with its
+        # parser adds only itself: every command imports its own modules
         probe = (
             "import json, sys, ringrigidity; "
-            "print(json.dumps(sorted(m for m in sys.modules if 'ringrigidity' in m)))"
+            "loaded = lambda: sorted(m for m in sys.modules if 'ringrigidity' in m); "
+            "bare = loaded(); "
+            "import ringrigidity.cli; ringrigidity.cli.build_parser(); "
+            "print(json.dumps([bare, loaded()]))"
         )
         proc = fresh_interpreter("-c", probe)
         assert json.loads(proc.stdout) == [
-            "ringrigidity",
-            "ringrigidity.abelian",
-            "ringrigidity.enumeration",
-            "ringrigidity.errors",
-            "ringrigidity.structures",
+            ["ringrigidity", "ringrigidity.errors"],
+            ["ringrigidity", "ringrigidity.cli", "ringrigidity.errors"],
         ]
